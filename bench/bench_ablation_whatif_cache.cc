@@ -1,5 +1,7 @@
 // Ablation (DESIGN.md design-choice index): what the what-if memoization and
-// the affected-table pruning in greedy enumeration buy. Reports, per
+// the affected-table pruning in greedy enumeration buy. The memo keys on the
+// configuration projected onto each query's own tables, so a round's winner
+// on one table leaves every other query's entries valid. Reports, per
 // workload size: real optimizer invocations, cache hits, and the calls an
 // unpruned enumerator would have made (every candidate x every query x
 // every greedy round).

@@ -88,12 +88,15 @@ double DoubleFromBits(uint64_t bits) {
 /// candidate pool (by canonical index definition, order-sensitive) and the
 /// search constraints. Thread count is deliberately excluded — enumeration
 /// is bit-identical across thread counts, so a checkpoint written at one
-/// concurrency resumes at another.
+/// concurrency resumes at another. The tag names the what-if cache key the
+/// snapshot's cache section was written under ("enum-projected": the
+/// configuration projected onto each query's tables); a snapshot under any
+/// other key is foreign and the run starts fresh.
 uint64_t EnumerationFingerprint(const std::vector<WeightedQuery>& queries,
                                 const std::vector<engine::Index>& pool,
                                 int max_indexes,
                                 uint64_t storage_budget_bytes) {
-  uint64_t h = HashBytes("enum");
+  uint64_t h = HashBytes("enum-projected");
   h = HashCombine(h, queries.size());
   for (const WeightedQuery& wq : queries) {
     h = HashCombine(h, DoubleBits(wq.weight));

@@ -34,9 +34,8 @@ ThreadPool::ThreadPool(size_t num_threads) {
   workers_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     workers_.emplace_back([this, i] {
-      // Tag the worker so spans it records (e.g. whatif/optimize during
-      // parallel enumeration) land on a named thread track in trace
-      // exports.
+      // Tag the worker so spans recorded inside its tasks land on a named
+      // thread track in trace exports.
       obs::Tracer::Global().SetCurrentThreadName("pool-worker-" +
                                                  std::to_string(i));
       WorkerLoop();

@@ -43,13 +43,12 @@ uint64_t Configuration::TotalSizeBytes(const catalog::Catalog& catalog) const {
 }
 
 uint64_t Configuration::StableHash() const {
-  // XOR of per-index hashes: order independent.
-  uint64_t h = 0x15B3C0FFEEull;
-  std::hash<Index> hasher;
-  for (const Index& index : indexes_) {
-    h ^= static_cast<uint64_t>(hasher(index)) * 0x9E3779B97F4A7C15ull;
-  }
-  return h;
+  return StableHashOn([](catalog::TableId) { return true; });
+}
+
+uint64_t Configuration::MixIndex(const Index& index) {
+  return static_cast<uint64_t>(std::hash<Index>()(index)) *
+         0x9E3779B97F4A7C15ull;
 }
 
 std::string Configuration::DebugString(const catalog::Catalog& catalog) const {

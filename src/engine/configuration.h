@@ -38,10 +38,28 @@ class Configuration {
   /// Order-independent stable hash of the index set.
   uint64_t StableHash() const;
 
+  /// StableHash() of the sub-configuration of indexes whose table satisfies
+  /// `on_table(catalog::TableId)`. Projecting onto every table gives exactly
+  /// StableHash(). Allocates nothing. The what-if memo keys on the
+  /// projection onto a query's own tables, the only indexes the optimizer
+  /// reads when costing that query.
+  template <typename TablePredicate>
+  uint64_t StableHashOn(TablePredicate on_table) const {
+    // XOR of per-index mixes: order independent.
+    uint64_t h = kHashSeed;
+    for (const Index& index : indexes_) {
+      if (on_table(index.table())) h ^= MixIndex(index);
+    }
+    return h;
+  }
+
   /// Multi-line listing for reports.
   std::string DebugString(const catalog::Catalog& catalog) const;
 
  private:
+  static constexpr uint64_t kHashSeed = 0x15B3C0FFEEull;
+  static uint64_t MixIndex(const Index& index);
+
   std::vector<Index> indexes_;
 };
 

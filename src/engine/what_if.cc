@@ -6,7 +6,6 @@
 #include "common/fault.h"
 #include "common/rng.h"
 #include "obs/journal.h"
-#include "obs/trace.h"
 
 namespace isum::engine {
 
@@ -57,7 +56,12 @@ StatusOr<double> WhatIfOptimizer::TryCost(const sql::BoundQuery& query,
                                           const Configuration& config,
                                           const TimeBudget& budget) {
   const WhatIfMetrics& metrics = WhatIfMetrics::Get();
-  const Key key{&query, config.StableHash()};
+  // The optimizer reads `config` only through IndexesOnTable() for the
+  // query's own tables, so indexes on other tables cannot change the cost.
+  const auto on_query_table = [&query](catalog::TableId t) {
+    return query.ReferencesTable(t);
+  };
+  const Key key{&query, config.StableHashOn(on_query_table)};
   Shard& shard = shards_[KeyHash()(key) % kShards];
   {
     MutexLock lock(shard.mutex);
@@ -93,15 +97,10 @@ StatusOr<double> WhatIfOptimizer::TryCost(const sql::BoundQuery& query,
     ISUM_RETURN_IF_ERROR(budget.CheckCancelled());
   }
 
-  uint64_t nanos = 0;
-  double cost = 0.0;
-  {
-    ISUM_TRACE_SPAN("whatif/optimize");
-    const uint64_t start = MonotonicNanos();
-    cost = optimizer_.Cost(query, config);
-    const uint64_t end = MonotonicNanos();
-    nanos = end >= start ? end - start : 0;
-  }
+  const uint64_t start = MonotonicNanos();
+  const double cost = optimizer_.Cost(query, config);
+  const uint64_t end = MonotonicNanos();
+  const uint64_t nanos = end >= start ? end - start : 0;
   optimizer_calls_.Add(1);
   optimizer_nanos_.Add(nanos);
   metrics.calls->Add(1);

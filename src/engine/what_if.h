@@ -32,8 +32,11 @@ struct RetryPolicy {
 
 /// The "what-if" API [15]: costs a query under a hypothetical index
 /// configuration without building indexes. Results are memoized per
-/// (query, configuration) pair and optimizer invocations are counted, so the
-/// advisor's call profile (Figure 2 of the paper) can be measured.
+/// (query, indexes of the configuration on the query's own tables): the
+/// optimizer reads nothing else of the configuration, so adding an index on
+/// an unrelated table is a cache hit with the same cost. Optimizer
+/// invocations are counted, so the advisor's call profile (Figure 2 of the
+/// paper) can be measured.
 ///
 /// Cache keys use query object identity: a BoundQuery must stay at a stable
 /// address while a WhatIfOptimizer refers to it (Workload guarantees this).
@@ -119,6 +122,8 @@ class WhatIfOptimizer {
   /// One memoized what-if answer in checkpoint form: the query is named by
   /// a caller-stable id (its position in the enumeration's query vector)
   /// instead of the in-process pointer the live cache keys on.
+  /// `config_hash` is the configuration hash projected onto the query's
+  /// tables (Configuration::StableHashOn).
   struct CacheEntry {
     uint64_t query_id = 0;
     uint64_t config_hash = 0;

@@ -14,12 +14,16 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "advisor/advisor.h"
+#include "advisor/candidate_generation.h"
+#include "advisor/enumerator.h"
 #include "common/checkpoint.h"
 #include "common/deadline.h"
 #include "common/fault.h"
+#include "common/hash.h"
 #include "core/checkpointing.h"
 #include "core/isum.h"
 #include "engine/what_if.h"
@@ -515,6 +519,11 @@ TEST_F(CheckpointResumeTest, EnumerationResumesBitIdentical) {
   const advisor::TuningResult full = advisor.Tune(queries, base);
   ASSERT_EQ(full.stop_reason, StopReason::kComplete);
   ASSERT_GE(full.configuration.size(), 2u);
+  // Candidate selection is not checkpointed, so every resumed run repeats
+  // it; a run killed before the first enumeration round measures its calls.
+  KillAtRound("advisor.enumerate", 0);
+  const uint64_t selection_calls = advisor.Tune(queries, base).optimizer_calls;
+  FaultInjector::Global().Reset();
 
   for (size_t round = 1; round < full.configuration.size(); ++round) {
     advisor::TuningOptions options = base;
@@ -538,7 +547,141 @@ TEST_F(CheckpointResumeTest, EnumerationResumesBitIdentical) {
         << "round " << round;
     EXPECT_EQ(resumed.configurations_explored, full.configurations_explored)
         << "round " << round;
+    // Zero repeated enumeration work: the restored memo answers every
+    // costing the killed run already made.
+    EXPECT_EQ(killed.optimizer_calls + resumed.optimizer_calls,
+              full.optimizer_calls + selection_calls)
+        << "round " << round;
   }
+}
+
+/// Fingerprint an enumeration snapshot had while the what-if memo keyed on
+/// the whole configuration: the same fields as today's, under the tag
+/// "enum".
+uint64_t WholeConfigKeyFingerprint(
+    const std::vector<advisor::WeightedQuery>& queries,
+    const std::vector<engine::Index>& pool, int max_indexes,
+    uint64_t storage_budget_bytes) {
+  uint64_t h = HashBytes("enum");
+  h = HashCombine(h, queries.size());
+  for (const advisor::WeightedQuery& wq : queries) {
+    h = HashCombine(h, Bits(wq.weight));
+  }
+  h = HashCombine(h, pool.size());
+  for (const engine::Index& index : pool) {
+    h = HashCombine(h, HashBytes(index.CanonicalKey()));
+  }
+  h = HashCombine(h, static_cast<uint64_t>(max_indexes));
+  h = HashCombine(h, storage_budget_bytes);
+  return h;
+}
+
+/// Re-encodes an enumeration snapshot with its meta fingerprint replaced.
+/// Section layout: 1 meta (fingerprint + five u64), 2 winners, 3 costs,
+/// 4 cache (count, then query_id/config_hash/cost triples).
+CheckpointWriter RetagEnumSnapshot(const CheckpointReader& reader,
+                                   uint64_t fingerprint) {
+  CheckpointWriter writer;
+  CheckpointCursor meta = reader.Section(1).value();
+  EXPECT_TRUE(meta.ReadU64().ok());  // the fingerprint being replaced
+  writer.BeginSection(1);
+  writer.AppendU64(fingerprint);
+  for (int i = 0; i < 5; ++i) writer.AppendU64(meta.ReadU64().value());
+  writer.EndSection();
+  writer.BeginSection(2);
+  writer.AppendU64Vector(reader.Section(2)->ReadU64Vector().value());
+  writer.EndSection();
+  writer.BeginSection(3);
+  writer.AppendF64Vector(reader.Section(3)->ReadF64Vector().value());
+  writer.EndSection();
+  CheckpointCursor cache = reader.Section(4).value();
+  const uint64_t count = cache.ReadU64().value();
+  writer.BeginSection(4);
+  writer.AppendU64(count);
+  for (uint64_t i = 0; i < count; ++i) {
+    writer.AppendU64(cache.ReadU64().value());
+    writer.AppendU64(cache.ReadU64().value());
+    writer.AppendF64(cache.ReadF64().value());
+  }
+  writer.EndSection();
+  return writer;
+}
+
+TEST_F(CheckpointResumeTest, EnumerationSnapshotUnderWholeConfigKeyIsIgnored) {
+  // A snapshot written while the memo keyed on the whole configuration
+  // carries cache entries under a different config_hash meaning; it must be
+  // treated as foreign, so the run starts fresh.
+  std::vector<advisor::WeightedQuery> queries;
+  std::vector<engine::Index> pool;
+  std::unordered_set<engine::Index> seen;
+  for (size_t i = 0; i < env_->workload->size(); ++i) {
+    const sql::BoundQuery& q = env_->workload->query(i).bound;
+    queries.push_back({&q, 1.0});
+    for (engine::Index& index : advisor::GenerateCandidates(q, *env_->stats)) {
+      if (seen.insert(index).second) pool.push_back(std::move(index));
+    }
+  }
+  constexpr int kMaxIndexes = 4;
+  // Optimizer calls of one enumeration from a cold memo.
+  auto enumerate = [&](const std::string& ckpt_path) {
+    CheckpointConfig ckpt;
+    ckpt.path = ckpt_path;
+    ckpt.every_rounds = 1;
+    engine::WhatIfOptimizer what_if(env_->cost_model.get());
+    const advisor::EnumerationResult result = advisor::GreedyEnumerate(
+        what_if, queries, pool, kMaxIndexes, /*storage_budget_bytes=*/0,
+        *env_->catalog, {}, /*num_threads=*/1, ckpt);
+    return std::make_pair(result, what_if.optimizer_calls());
+  };
+  const auto [full, full_calls] = enumerate("");
+  ASSERT_EQ(full.configuration.size(), static_cast<size_t>(kMaxIndexes));
+
+  const std::string killed_path = FreshCkptBase("enum_old_key_src");
+  KillAtRound("advisor.enumerate", 2);
+  (void)enumerate(killed_path);
+  FaultInjector::Global().Reset();
+  const std::filesystem::path dir =
+      std::filesystem::path(killed_path).parent_path();
+  std::filesystem::path newest;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string file = entry.path().filename().string();
+    if (file.rfind("enum_old_key_src.enum.", 0) == 0 &&
+        (newest.empty() || file > newest.filename().string())) {
+      newest = entry.path();
+    }
+  }
+  ASSERT_FALSE(newest.empty());
+  const CheckpointReader killed =
+      CheckpointReader::Parse(ReadFileToString(newest.string()).value())
+          .value();
+  const uint64_t current_fingerprint = killed.Section(1)->ReadU64().value();
+
+  // Control: the re-encoded snapshot under today's fingerprint is restored
+  // and saves the killed run's optimizer work.
+  const std::string control_path = FreshCkptBase("enum_old_key_control");
+  CheckpointStore control_store(control_path + ".enum", current_fingerprint);
+  ASSERT_TRUE(
+      control_store
+          .WriteEpoch(RetagEnumSnapshot(killed, current_fingerprint))
+          .ok());
+  const auto [control, control_calls] = enumerate(control_path);
+  EXPECT_EQ(control.configuration.StableHash(),
+            full.configuration.StableHash());
+  EXPECT_LT(control_calls, full_calls);
+
+  // The same snapshot under the whole-configuration-key fingerprint is not
+  // restored: every optimizer call is made again.
+  const uint64_t old_fingerprint = WholeConfigKeyFingerprint(
+      queries, pool, kMaxIndexes, /*storage_budget_bytes=*/0);
+  ASSERT_NE(old_fingerprint, current_fingerprint);
+  const std::string old_path = FreshCkptBase("enum_old_key");
+  CheckpointStore old_store(old_path + ".enum", old_fingerprint);
+  ASSERT_TRUE(
+      old_store.WriteEpoch(RetagEnumSnapshot(killed, old_fingerprint)).ok());
+  const auto [fresh, fresh_calls] = enumerate(old_path);
+  EXPECT_EQ(fresh_calls, full_calls);
+  EXPECT_EQ(fresh.configuration.StableHash(), full.configuration.StableHash());
+  EXPECT_EQ(Bits(fresh.final_cost), Bits(full.final_cost));
 }
 
 // --- tracecat ckpt ---

@@ -3,12 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <unordered_set>
+#include <vector>
+
+#include "advisor/candidate_generation.h"
 #include "catalog/schema_builder.h"
 #include "common/string_util.h"
 #include "engine/what_if.h"
 #include "sql/binder.h"
 #include "sql/parser.h"
 #include "stats/data_generator.h"
+#include "workload/workload_factory.h"
 
 namespace isum::engine {
 namespace {
@@ -373,6 +379,132 @@ TEST_F(EngineTest, WhatIfMatchesOptimizer) {
   Optimizer opt(&cost_model_);
   EXPECT_DOUBLE_EQ(what_if.Cost(q, Configuration()),
                    opt.Cost(q, Configuration()));
+}
+
+// --- What-if memo keyed on the configuration projected onto the query's
+// tables: oracles against the unprojected hash and a fresh optimizer. ---
+
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+using WhatIfProjectionTest = EngineTest;
+
+TEST_F(WhatIfProjectionTest, ProjectedHashIsTheSubConfigurationHash) {
+  const catalog::TableId big = cat_.FindTable("big")->id();
+  const catalog::TableId small = cat_.FindTable("small")->id();
+  Configuration config;
+  config.Add(Index(big, {Col("big", "v")}));
+  config.Add(Index(small, {Col("small", "attr")}));
+  config.Add(Index(big, {Col("big", "w")}, {Col("big", "cat")}));
+  Configuration big_only;
+  big_only.Add(Index(big, {Col("big", "v")}));
+  big_only.Add(Index(big, {Col("big", "w")}, {Col("big", "cat")}));
+
+  EXPECT_EQ(config.StableHashOn([](catalog::TableId) { return true; }),
+            config.StableHash());
+  EXPECT_EQ(config.StableHashOn([](catalog::TableId) { return false; }),
+            Configuration().StableHash());
+  EXPECT_EQ(config.StableHashOn([&](catalog::TableId t) { return t == big; }),
+            big_only.StableHash());
+}
+
+TEST_F(WhatIfProjectionTest, UnreferencedTableIndexIsACacheHit) {
+  const sql::BoundQuery q = Bind("SELECT v FROM big WHERE v < 100");
+  WhatIfOptimizer what_if(&cost_model_);
+  const double empty_cost = what_if.Cost(q, Configuration());
+  ASSERT_EQ(what_if.optimizer_calls(), 1u);
+
+  Configuration unrelated;
+  unrelated.Add(Index(cat_.FindTable("small")->id(), {Col("small", "attr")}));
+  EXPECT_EQ(Bits(what_if.Cost(q, unrelated)), Bits(empty_cost));
+  EXPECT_EQ(what_if.optimizer_calls(), 1u);
+  EXPECT_EQ(what_if.cache_hits(), 1u);
+}
+
+TEST_F(WhatIfProjectionTest, ReferencedTableIndexIsAMiss) {
+  const sql::BoundQuery q = Bind("SELECT v FROM big WHERE v < 100");
+  WhatIfOptimizer what_if(&cost_model_);
+  Configuration config;
+  config.Add(Index(cat_.FindTable("small")->id(), {Col("small", "attr")}));
+  const double unrelated_cost = what_if.Cost(q, config);
+  ASSERT_EQ(what_if.optimizer_calls(), 1u);
+
+  config.Add(Index(cat_.FindTable("big")->id(), {Col("big", "v")}));
+  const double seek_cost = what_if.Cost(q, config);
+  EXPECT_EQ(what_if.optimizer_calls(), 2u);
+  EXPECT_EQ(what_if.cache_hits(), 0u);
+  EXPECT_LT(seek_cost, unrelated_cost);
+  EXPECT_EQ(Bits(seek_cost), Bits(Optimizer(&cost_model_).Cost(q, config)));
+}
+
+/// Grows seeded random configurations from the union of every query's
+/// candidates (so most indexes sit on tables a given query does not
+/// reference) and checks that a shared, ever-warmer WhatIfOptimizer answers
+/// every query bit-for-bit like a fresh Optimizer.
+void ExpectWarmMemoMatchesFreshOptimizer(
+    const workload::GeneratedWorkload& env) {
+  const workload::Workload& wl = *env.workload;
+  std::vector<Index> pool;
+  std::unordered_set<Index> seen;
+  for (size_t i = 0; i < wl.size(); ++i) {
+    for (Index& index :
+         advisor::GenerateCandidates(wl.query(i).bound, *env.stats)) {
+      if (seen.insert(index).second) pool.push_back(std::move(index));
+    }
+  }
+  ASSERT_FALSE(pool.empty()) << env.name;
+
+  WhatIfOptimizer shared(env.cost_model.get());
+  const Optimizer fresh(env.cost_model.get());
+  constexpr int kWalks = 3;
+  constexpr int kIndexesPerWalk = 8;
+  size_t mismatches = 0;
+  for (int walk = 0; walk < kWalks; ++walk) {
+    Rng rng(1000 + static_cast<uint64_t>(walk));
+    Configuration config;
+    for (int step = 0; step < kIndexesPerWalk; ++step) {
+      config.Add(pool[rng.NextUint64(pool.size())]);
+      for (size_t i = 0; i < wl.size(); ++i) {
+        const sql::BoundQuery& q = wl.query(i).bound;
+        if (Bits(shared.Cost(q, config)) != Bits(fresh.Cost(q, config))) {
+          ++mismatches;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << env.name;
+  // The projection must actually be exercised: most costings are answered
+  // from configurations that differ only on unreferenced tables.
+  EXPECT_GT(shared.cache_hits(), shared.optimizer_calls()) << env.name;
+}
+
+workload::GeneratorOptions OneInstancePerTemplate() {
+  workload::GeneratorOptions gen;
+  gen.instances_per_template = 1;
+  return gen;
+}
+
+TEST(WhatIfProjectionOracle, Tpch) {
+  ExpectWarmMemoMatchesFreshOptimizer(
+      workload::MakeTpch(OneInstancePerTemplate()));
+}
+
+TEST(WhatIfProjectionOracle, Tpcds) {
+  ExpectWarmMemoMatchesFreshOptimizer(
+      workload::MakeTpcds(OneInstancePerTemplate()));
+}
+
+TEST(WhatIfProjectionOracle, Dsb) {
+  ExpectWarmMemoMatchesFreshOptimizer(
+      workload::MakeDsb(OneInstancePerTemplate()));
+}
+
+TEST(WhatIfProjectionOracle, RealM) {
+  ExpectWarmMemoMatchesFreshOptimizer(
+      workload::MakeRealM(OneInstancePerTemplate()));
 }
 
 }  // namespace

@@ -17,7 +17,7 @@ namespace isum::tracecat {
 /// One parsed Chrome-trace event (complete spans and thread_name metadata).
 struct TraceEvent {
   std::string phase;        ///< "X" (span) or "M" (metadata)
-  std::string name;         ///< span name, e.g. "whatif/optimize"
+  std::string name;         ///< span name, e.g. "advisor/enumerate"
   std::string thread_name;  ///< metadata events: args.name
   uint32_t tid = 0;
   double ts_us = 0.0;
