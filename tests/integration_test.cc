@@ -14,10 +14,15 @@
 namespace isum {
 namespace {
 
+// gtest names each registered case after a byte dump of its parameter, so the
+// name is held inline (not as a pointer) and the struct has no padding: the
+// dump, and with it the ctest name, is then the same in every build and run.
 struct WorkloadSpec {
-  const char* name;
+  char name[12];
   int instances_per_template;
 };
+static_assert(sizeof(WorkloadSpec) == 12 + sizeof(int),
+              "padding bytes would make the printed test name vary");
 
 class IntegrationTest : public ::testing::TestWithParam<WorkloadSpec> {};
 
