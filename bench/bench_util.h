@@ -197,11 +197,12 @@ struct ObsFlags {
 ///                      seconds (common/deadline.h); stages stop cleanly
 ///                      with best-so-far results once it expires
 ///   --checkpoint=<path> install an ambient checkpoint config
-///                      (common/checkpoint.h): compression/enumeration
-///                      phases write crash-atomic `isum-ckpt-v1` epochs
-///                      under <path> and resume from the newest valid one
-///                      at startup (docs/ROBUSTNESS.md). Inspect with
-///                      `tracecat ckpt`
+///                      (common/checkpoint.h): index-tuning enumeration
+///                      writes crash-atomic `isum-ckpt-v1` epochs under
+///                      <path> and resumes from the newest valid one at
+///                      startup; compression is not checkpointed — it
+///                      reruns in about a second (docs/ROBUSTNESS.md).
+///                      Inspect with `tracecat ckpt`
 ///   --checkpoint-every=<N> write an epoch every N completed rounds (with
 ///                      --checkpoint; default 16)
 ///   --allow-truncated  exit 0 even when a stage stopped early (deadline,

@@ -10,7 +10,7 @@
 
 namespace isum {
 
-/// Crash-safe checkpoint snapshots for long-running compression/tuning.
+/// Crash-safe checkpoint snapshots for long-running index-tuning enumeration.
 ///
 /// A checkpoint file is the versioned `isum-ckpt-v1` container:
 ///

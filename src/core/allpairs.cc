@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/fault.h"
-#include "core/checkpointing.h"
 #include "obs/journal.h"
 
 namespace isum::core {
@@ -32,11 +31,8 @@ struct ShardBest {
 SelectionResult AllPairsGreedySelect(CompressionState& state, size_t k,
                                      UpdateStrategy strategy,
                                      const TimeBudget& budget,
-                                     ThreadPool* pool,
-                                     SelectionCheckpointer* ckpt,
-                                     SelectionResult seed) {
-  SelectionResult result = std::move(seed);
-  result.stop_reason = StopReason::kComplete;
+                                     ThreadPool* pool) {
+  SelectionResult result;
   // Per-shard probe buffers, reused across rounds (ParallelFor hands each
   // shard index to exactly one worker, so slots are never shared).
   std::vector<DenseScratch> scratches;
@@ -150,7 +146,6 @@ SelectionResult AllPairsGreedySelect(CompressionState& state, size_t k,
     result.selected.push_back(best);
     result.selection_benefits.push_back(max_benefit);
     state.SelectAndUpdate(best, strategy);
-    if (ckpt != nullptr) ckpt->OnRound(result);
   }
   return result;
 }

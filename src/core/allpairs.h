@@ -9,8 +9,6 @@
 
 namespace isum::core {
 
-class SelectionCheckpointer;  // core/checkpointing.h
-
 /// Result of a greedy selection run: chosen query indices in selection order
 /// and the conditional benefit each had at selection time.
 struct SelectionResult {
@@ -37,17 +35,10 @@ struct SelectionResult {
 /// the serial pool-less path. If the budget fires mid-round, the round is
 /// abandoned (never completed from a partial argmax) and the prefix selected
 /// so far is returned.
-///
-/// `seed` is a checkpoint-restored prefix: the loop continues from it, and
-/// the caller must already have replayed it into `state`
-/// (CompressionState::ReplaySelection). `ckpt`, when non-null, is notified
-/// after every completed round for periodic epoch writes.
 SelectionResult AllPairsGreedySelect(CompressionState& state, size_t k,
                                      UpdateStrategy strategy,
                                      const TimeBudget& budget = {},
-                                     ThreadPool* pool = nullptr,
-                                     SelectionCheckpointer* ckpt = nullptr,
-                                     SelectionResult seed = {});
+                                     ThreadPool* pool = nullptr);
 
 }  // namespace isum::core
 

@@ -48,13 +48,6 @@ void CompressionState::SelectAndUpdate(size_t s, UpdateStrategy strategy) {
   }
 }
 
-bool CompressionState::AllUnselectedZeroed() const {
-  for (size_t i = 0; i < features_.size(); ++i) {
-    if (!selected_[i] && !features_[i].AllZero()) return false;
-  }
-  return true;
-}
-
 void CompressionState::ResetUnselectedFeatures() {
   if (obs::Journal::Global().enabled()) {
     size_t selected_so_far = 0;
@@ -63,17 +56,6 @@ void CompressionState::ResetUnselectedFeatures() {
   }
   for (size_t i = 0; i < features_.size(); ++i) {
     if (!selected_[i]) features_[i] = original_features_[i];
-  }
-}
-
-void CompressionState::ReplaySelection(const std::vector<size_t>& ids,
-                                       UpdateStrategy strategy) {
-  for (const size_t id : ids) {
-    // Equivalent to the loop-head reset in the greedy selects: `id` is
-    // still unselected here, so "no eligible query" collapses to "every
-    // unselected query's features are zero".
-    if (AllUnselectedZeroed()) ResetUnselectedFeatures();
-    SelectAndUpdate(id, strategy);
   }
 }
 

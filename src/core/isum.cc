@@ -1,9 +1,5 @@
 #include "core/isum.h"
 
-#include <memory>
-#include <utility>
-
-#include "core/checkpointing.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -40,7 +36,7 @@ struct CompressMetrics {
 
 SelectionResult RunSelection(CompressionState& state, size_t k,
                              const IsumOptions& options,
-                             const TimeBudget& budget, const char* entry) {
+                             const TimeBudget& budget) {
   ISUM_TRACE_SPAN_VAR(span, "compress/greedy-pick");
   span.Arg("k", static_cast<uint64_t>(k))
       .Arg("algorithm", AlgorithmName(options.algorithm))
@@ -51,71 +47,21 @@ SelectionResult RunSelection(CompressionState& state, size_t k,
                           static_cast<uint64_t>(options.num_threads));
   }
 
-  // Checkpoint/resume (core/checkpointing.h): restore the newest valid
-  // epoch whose fingerprint matches this work unit, replay its prefix into
-  // the state, and continue the greedy loop from there. When the restored
-  // prefix already covers k, the loop condition is false and the run
-  // completes without a single argmax scan.
-  SelectionResult seed;
-  std::unique_ptr<SelectionCheckpointer> ckpt;
-  const CheckpointConfig ckpt_config = EffectiveCheckpoint(options.checkpoint);
-  if (ckpt_config.enabled()) {
-    const uint64_t fingerprint = SelectionFingerprint(
-        state, static_cast<uint64_t>(options.algorithm),
-        static_cast<uint64_t>(options.update), entry);
-    auto store = std::make_unique<CheckpointStore>(
-        ckpt_config.path + ".compress", fingerprint);
-    StatusOr<SelectionSnapshot> snapshot =
-        LoadSelectionSnapshot(*store, fingerprint);
-    if (snapshot.ok()) {
-      // Greedy prefixes are k-stable, so a checkpoint from a larger-k run
-      // restores a smaller-k run by truncation.
-      if (snapshot->selected.size() > k) {
-        snapshot->selected.resize(k);
-        snapshot->benefits.resize(k);
-      }
-      bool ids_valid = true;
-      for (const size_t id : snapshot->selected) {
-        ids_valid = ids_valid && id < state.size();
-      }
-      if (ids_valid) {
-        {
-          ISUM_TRACE_SPAN("compress/ckpt-replay");
-          state.ReplaySelection(snapshot->selected, options.update);
-        }
-        seed.selected = std::move(snapshot->selected);
-        seed.selection_benefits = std::move(snapshot->benefits);
-        journal.CkptRestore(
-            "compress", store->loaded_epoch(), seed.selected.size(),
-            obs::SelectionOrderHash(seed.selected.data(),
-                                    seed.selected.size()),
-            snapshot->done && seed.selected.size() >= k ? 1 : 0);
-      }
-    }
-    ckpt = std::make_unique<SelectionCheckpointer>(
-        std::move(store), fingerprint, ckpt_config.every_rounds, "compress");
-    ckpt->NoteRestored(seed.selected.size());
-  }
-
   SelectionResult result;
   switch (options.algorithm) {
     case SelectionAlgorithm::kAllPairs: {
       if (options.num_threads > 1) {
         ThreadPool pool(static_cast<size_t>(options.num_threads));
-        result = AllPairsGreedySelect(state, k, options.update, budget, &pool,
-                                      ckpt.get(), std::move(seed));
+        result = AllPairsGreedySelect(state, k, options.update, budget, &pool);
       } else {
-        result = AllPairsGreedySelect(state, k, options.update, budget,
-                                      nullptr, ckpt.get(), std::move(seed));
+        result = AllPairsGreedySelect(state, k, options.update, budget);
       }
       break;
     }
     case SelectionAlgorithm::kSummaryFeatures:
-      result = SummaryGreedySelect(state, k, options.update, budget,
-                                   ckpt.get(), std::move(seed));
+      result = SummaryGreedySelect(state, k, options.update, budget);
       break;
   }
-  if (ckpt != nullptr) ckpt->OnDone(result);
   NoteStopReason(result.stop_reason);
   if (journal.enabled()) {
     double benefit_sum = 0.0;
@@ -138,7 +84,7 @@ SelectionResult Isum::Select(size_t k) const {
     ISUM_TRACE_SPAN("compress/feature-extraction");
     return MakeState();
   }();
-  return RunSelection(state, k, options_, budget, /*entry=*/"select");
+  return RunSelection(state, k, options_, budget);
 }
 
 workload::CompressedWorkload Isum::Compress(size_t k) const {
@@ -156,7 +102,7 @@ workload::CompressedWorkload Isum::Compress(size_t k) const {
     return MakeState();
   }();
   const SelectionResult selection =
-      RunSelection(state, k, options_, budget, /*entry=*/"compress");
+      RunSelection(state, k, options_, budget);
   std::vector<double> weights;
   {
     ISUM_TRACE_SPAN("compress/weighing");

@@ -1,7 +1,6 @@
 #ifndef ISUM_CORE_ISUM_H_
 #define ISUM_CORE_ISUM_H_
 
-#include "common/checkpoint.h"
 #include "core/summary.h"
 #include "core/weighing.h"
 
@@ -32,13 +31,6 @@ struct IsumOptions {
   /// bit-identical for every value (see AllPairsGreedySelect); the
   /// summary-features algorithm is O(k·n) and stays serial.
   int num_threads = 1;
-  /// Crash-safe checkpoint/resume: when enabled (or when an ambient config
-  /// is installed via --checkpoint=), selection writes an epoch every
-  /// `checkpoint.every_rounds` rounds and resumes from the newest valid
-  /// epoch whose fingerprint matches this workload/options combination. A
-  /// resumed run is bit-identical to an uninterrupted one
-  /// (core/checkpointing.h, docs/ROBUSTNESS.md).
-  CheckpointConfig checkpoint;
 
   /// ISUM-S: stats-based column weights + selectivity-aware utility.
   static IsumOptions StatsVariant() {

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/fault.h"
-#include "core/checkpointing.h"
 #include "obs/journal.h"
 
 namespace isum::core {
@@ -67,11 +66,8 @@ double SummaryInfluence(const SparseVector& query_features, double query_utility
 
 SelectionResult SummaryGreedySelect(CompressionState& state, size_t k,
                                     UpdateStrategy strategy,
-                                    const TimeBudget& budget,
-                                    SelectionCheckpointer* ckpt,
-                                    SelectionResult seed) {
-  SelectionResult result = std::move(seed);
-  result.stop_reason = StopReason::kComplete;
+                                    const TimeBudget& budget) {
+  SelectionResult result;
   // Dense summary accumulator, reused across rounds. Accumulating per
   // feature in ascending query order reproduces the AddScaled chain of
   // ComputeSummaryFeatures bit-for-bit.
@@ -144,7 +140,6 @@ SelectionResult SummaryGreedySelect(CompressionState& state, size_t k,
     result.selected.push_back(best);
     result.selection_benefits.push_back(max_benefit);
     state.SelectAndUpdate(best, strategy);
-    if (ckpt != nullptr) ckpt->OnRound(result);
   }
   return result;
 }

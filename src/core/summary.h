@@ -21,15 +21,10 @@ double SummaryInfluence(const SparseVector& query_features, double query_utility
 /// summary features over the unselected queries, scores every eligible query
 /// by utility + S(features, V'), selects the max, and applies `strategy`.
 /// O(k·n·f) where f is the average feature count. `budget` is observed once
-/// per round (see AllPairsGreedySelect). `ckpt`/`seed` carry checkpoint
-/// resume state with the same contract as AllPairsGreedySelect; the summary
-/// vector is not checkpointed — each round rebuilds it from the (replayed)
-/// state, so a resumed round recomputes it bit-identically.
+/// per round (see AllPairsGreedySelect).
 SelectionResult SummaryGreedySelect(CompressionState& state, size_t k,
                                     UpdateStrategy strategy,
-                                    const TimeBudget& budget = {},
-                                    SelectionCheckpointer* ckpt = nullptr,
-                                    SelectionResult seed = {});
+                                    const TimeBudget& budget = {});
 
 }  // namespace isum::core
 

@@ -19,15 +19,28 @@ std::vector<double> Normalized(std::vector<double> weights) {
   return weights;
 }
 
-/// Shared body of the two public overloads: takes ownership of the original
-/// (pre-update) per-query signals; `num_features` bounds the feature ids.
-std::vector<double> WeighWithSignals(const workload::Workload& workload,
-                                     const SelectionResult& selection,
-                                     std::vector<SparseVector> features,
-                                     std::vector<double> utilities,
-                                     size_t num_features,
-                                     WeighingStrategy strategy) {
+}  // namespace
+
+std::vector<double> WeighSelectedQueries(const workload::Workload& workload,
+                                         const CompressionState& state,
+                                         const SelectionResult& selection,
+                                         WeighingStrategy strategy) {
   const size_t k = selection.selected.size();
+  if (k == 0) return {};
+  if (strategy == WeighingStrategy::kNone) return UniformWeights(k);
+  if (strategy == WeighingStrategy::kSelectionBenefit) {
+    return Normalized(selection.selection_benefits);
+  }
+
+  // Original signals already live in the state; copy them (the recalibration
+  // mutates both) instead of re-featurizing the whole workload.
+  std::vector<SparseVector> features(workload.size());
+  std::vector<double> utilities(workload.size());
+  for (size_t i = 0; i < workload.size(); ++i) {
+    features[i] = state.original_features(i);
+    utilities[i] = state.original_utility(i);
+  }
+  const size_t num_features = state.feature_space().size();
 
   // Wu: the pool the summary is built from. Starts as W minus the selected
   // queries; the template step below removes whole matching templates.
@@ -115,56 +128,6 @@ std::vector<double> WeighWithSignals(const workload::Workload& workload,
     weights[r] = raw_weight[selection.selected[r]];
   }
   return Normalized(std::move(weights));
-}
-
-}  // namespace
-
-std::vector<double> WeighSelectedQueries(const workload::Workload& workload,
-                                         const SelectionResult& selection,
-                                         const FeaturizationOptions& feat_options,
-                                         UtilityMode utility_mode,
-                                         WeighingStrategy strategy) {
-  const size_t k = selection.selected.size();
-  if (k == 0) return {};
-  if (strategy == WeighingStrategy::kNone) return UniformWeights(k);
-  if (strategy == WeighingStrategy::kSelectionBenefit) {
-    return Normalized(selection.selection_benefits);
-  }
-
-  // Fresh signals (original features and utilities).
-  FeatureSpace space;
-  Featurizer featurizer(workload.env().catalog, workload.env().stats, &space);
-  std::vector<SparseVector> features(workload.size());
-  for (size_t i = 0; i < workload.size(); ++i) {
-    features[i] = featurizer.Featurize(workload.query(i).bound, feat_options);
-  }
-  std::vector<double> utilities = ComputeUtilities(workload, utility_mode);
-  return WeighWithSignals(workload, selection, std::move(features),
-                          std::move(utilities), space.size(), strategy);
-}
-
-std::vector<double> WeighSelectedQueries(const workload::Workload& workload,
-                                         const CompressionState& state,
-                                         const SelectionResult& selection,
-                                         WeighingStrategy strategy) {
-  const size_t k = selection.selected.size();
-  if (k == 0) return {};
-  if (strategy == WeighingStrategy::kNone) return UniformWeights(k);
-  if (strategy == WeighingStrategy::kSelectionBenefit) {
-    return Normalized(selection.selection_benefits);
-  }
-
-  // Original signals already live in the state; copy them (the recalibration
-  // mutates both) instead of re-featurizing the whole workload.
-  std::vector<SparseVector> features(workload.size());
-  std::vector<double> utilities(workload.size());
-  for (size_t i = 0; i < workload.size(); ++i) {
-    features[i] = state.original_features(i);
-    utilities[i] = state.original_utility(i);
-  }
-  return WeighWithSignals(workload, selection, std::move(features),
-                          std::move(utilities), state.feature_space().size(),
-                          strategy);
 }
 
 }  // namespace isum::core

@@ -115,15 +115,15 @@ class Journal {
   /// (identity-compared, so pass StopReasonToString() results).
   void BudgetStop(const char* reason);
 
-  /// A checkpoint epoch was written: `phase` is "compress" or "enum",
-  /// `rounds` the rounds captured, `bytes` the serialized image size.
+  /// A checkpoint epoch was written: `phase` names the checkpointed phase
+  /// (only "enum", the enumeration phase, today), `rounds` the rounds
+  /// captured, `bytes` the serialized image size.
   void CkptWrite(const char* phase, uint64_t epoch, uint64_t rounds,
                  uint64_t bytes);
   /// A run resumed from a checkpoint: `restored` rounds were replayed and
-  /// `prefix_hash` is SelectionOrderHash() over the restored prefix (or 0
-  /// for enumeration restores). `done` is 1 when the checkpointed run had
-  /// already finished. tracecat explain seeds its incremental hash from
-  /// this event so resumed journals still verify.
+  /// `prefix_hash` is SelectionOrderHash() over the restored prefix (for
+  /// enumeration, the restored winners' candidate ids in round order).
+  /// `done` is 1 when the checkpointed run had already finished.
   void CkptRestore(const char* phase, uint64_t epoch, uint64_t restored,
                    uint64_t prefix_hash, uint64_t done);
 

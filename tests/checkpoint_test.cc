@@ -1,9 +1,9 @@
 // Tests for crash-safe checkpoint/resume (docs/ROBUSTNESS.md): the
 // isum-ckpt-v1 container format, epoch rotation and fallback, the
-// selection and enumeration snapshots, what-if cache export/import, the
-// `after` fault-spec field, and the chaos sweep proper — kill the run at
-// every round boundary and assert the resumed output is bit-identical to
-// an uninterrupted one.
+// enumeration snapshot, what-if cache export/import, the `after`
+// fault-spec field, and the chaos sweep proper — kill enumeration at every
+// round boundary and assert the resumed output is bit-identical to an
+// uninterrupted one.
 
 #include <gtest/gtest.h>
 
@@ -24,8 +24,6 @@
 #include "common/deadline.h"
 #include "common/fault.h"
 #include "common/hash.h"
-#include "core/checkpointing.h"
-#include "core/isum.h"
 #include "engine/what_if.h"
 #include "tools/tracecat/tracecat.h"
 #include "workload/workload_factory.h"
@@ -53,6 +51,25 @@ std::string FreshCkptBase(const std::string& name) {
     }
   }
   return (dir / name).string();
+}
+
+/// The newest epoch file of lineage `<base><suffix>` (epoch numbers sort
+/// lexically within one lineage), or an empty path if none was written.
+std::filesystem::path NewestEpoch(const std::string& base,
+                                  const std::string& suffix) {
+  const std::filesystem::path dir =
+      std::filesystem::path(base).parent_path();
+  const std::string prefix =
+      std::filesystem::path(base).filename().string() + suffix + ".";
+  std::filesystem::path newest;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string file = entry.path().filename().string();
+    if (file.rfind(prefix, 0) == 0 &&
+        (newest.empty() || file > newest.filename().string())) {
+      newest = entry.path();
+    }
+  }
+  return newest;
 }
 
 // --- Container format ---
@@ -238,66 +255,6 @@ TEST(CheckpointStoreTest, CreatesMissingParentDirectories) {
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
 }
 
-// --- Selection snapshots ---
-
-TEST(SelectionSnapshotTest, RoundTripsThroughStore) {
-  const std::string base = FreshCkptBase("sel_roundtrip");
-  core::SelectionSnapshot snapshot;
-  snapshot.fingerprint = 111;
-  snapshot.selected = {4, 1, 9};
-  snapshot.benefits = {0.5, 0.25, 0.125};
-  snapshot.stop_reason = StopReason::kDeadline;
-  CheckpointWriter writer;
-  core::EncodeSelectionSnapshot(snapshot, &writer);
-  CheckpointStore store(base, snapshot.fingerprint);
-  ASSERT_TRUE(store.WriteEpoch(writer).ok());
-
-  StatusOr<core::SelectionSnapshot> loaded =
-      core::LoadSelectionSnapshot(store, snapshot.fingerprint);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->selected, snapshot.selected);
-  ASSERT_EQ(loaded->benefits.size(), snapshot.benefits.size());
-  for (size_t i = 0; i < snapshot.benefits.size(); ++i) {
-    EXPECT_EQ(Bits(loaded->benefits[i]), Bits(snapshot.benefits[i]));
-  }
-  EXPECT_FALSE(loaded->done);
-  EXPECT_EQ(loaded->stop_reason, StopReason::kDeadline);
-
-  // A different expected fingerprint must refuse the payload outright.
-  EXPECT_EQ(core::LoadSelectionSnapshot(store, 222).status().code(),
-            StatusCode::kNotFound);
-}
-
-TEST(SelectionSnapshotTest, InconsistentPayloadIsAParseError) {
-  const std::string base = FreshCkptBase("sel_inconsistent");
-  // Hand-build a snapshot whose meta claims 5 rounds but whose ids section
-  // holds 2 — and one with an out-of-range stop reason.
-  const auto write_meta = [&](uint64_t rounds, uint64_t reason) {
-    CheckpointWriter writer;
-    writer.BeginSection(core::kSelectionMetaSection);
-    writer.AppendU64(111);
-    writer.AppendU64(0);
-    writer.AppendU64(reason);
-    writer.AppendU64(rounds);
-    writer.EndSection();
-    writer.BeginSection(core::kSelectionIdsSection);
-    writer.AppendU64Vector({3, 4});
-    writer.EndSection();
-    writer.BeginSection(core::kSelectionBenefitsSection);
-    writer.AppendF64Vector({1.0, 2.0});
-    writer.EndSection();
-    return writer;
-  };
-  CheckpointStore bad_rounds(base + "_rounds", 111);
-  ASSERT_TRUE(bad_rounds.WriteEpoch(write_meta(5, 0)).ok());
-  EXPECT_EQ(core::LoadSelectionSnapshot(bad_rounds, 111).status().code(),
-            StatusCode::kParseError);
-  CheckpointStore bad_reason(base + "_reason", 111);
-  ASSERT_TRUE(bad_reason.WriteEpoch(write_meta(2, 99)).ok());
-  EXPECT_EQ(core::LoadSelectionSnapshot(bad_reason, 111).status().code(),
-            StatusCode::kParseError);
-}
-
 // --- `after` fault-spec field ---
 
 class FaultAfterTest : public ::testing::Test {
@@ -393,126 +350,20 @@ class CheckpointResumeTest : public ::testing::Test {
     ASSERT_TRUE(FaultInjector::Global().Configure(spec).ok());
   }
 
-  static void ExpectSameEntries(const workload::CompressedWorkload& got,
-                                const workload::CompressedWorkload& want) {
-    ASSERT_EQ(got.entries.size(), want.entries.size());
-    for (size_t i = 0; i < want.entries.size(); ++i) {
-      EXPECT_EQ(got.entries[i].query_index, want.entries[i].query_index)
-          << "round " << i;
-      EXPECT_EQ(Bits(got.entries[i].weight), Bits(want.entries[i].weight))
-          << "round " << i;
-      EXPECT_EQ(Bits(got.entries[i].selection_benefit),
-                Bits(want.entries[i].selection_benefit))
-          << "round " << i;
+  /// Every workload query at weight 1, the input the tuner tests share.
+  std::vector<advisor::WeightedQuery> UnitQueries() const {
+    std::vector<advisor::WeightedQuery> queries;
+    for (size_t i = 0; i < env_->workload->size(); ++i) {
+      queries.push_back({&env_->workload->query(i).bound, 1.0});
     }
+    return queries;
   }
 
   std::optional<workload::GeneratedWorkload> env_;
 };
 
-TEST_F(CheckpointResumeTest, CompressionResumesBitIdenticalAtEveryBoundary) {
-  struct Variant {
-    const char* name;
-    core::SelectionAlgorithm algorithm;
-    int threads;
-  };
-  const Variant variants[] = {
-      {"summary_t1", core::SelectionAlgorithm::kSummaryFeatures, 1},
-      {"allpairs_t1", core::SelectionAlgorithm::kAllPairs, 1},
-      {"allpairs_t8", core::SelectionAlgorithm::kAllPairs, 8},
-  };
-  const size_t k = 8;
-  for (const Variant& variant : variants) {
-    core::IsumOptions base;
-    base.algorithm = variant.algorithm;
-    base.num_threads = variant.threads;
-    const workload::CompressedWorkload full =
-        core::Isum(&*env_->workload, base).Compress(k);
-    ASSERT_EQ(full.stop_reason, StopReason::kComplete);
-    ASSERT_GT(full.entries.size(), 2u);
-
-    for (size_t round = 1; round < full.entries.size(); ++round) {
-      core::IsumOptions options = base;
-      options.checkpoint.path = FreshCkptBase(
-          std::string("kill_") + variant.name + "_" + std::to_string(round));
-      options.checkpoint.every_rounds = 1;
-
-      KillAtRound("compress.select", round);
-      const workload::CompressedWorkload killed =
-          core::Isum(&*env_->workload, options).Compress(k);
-      EXPECT_EQ(killed.stop_reason, StopReason::kFault)
-          << variant.name << " round " << round;
-      ASSERT_EQ(killed.entries.size(), round);
-      FaultInjector::Global().Reset();
-
-      const workload::CompressedWorkload resumed =
-          core::Isum(&*env_->workload, options).Compress(k);
-      EXPECT_EQ(resumed.stop_reason, StopReason::kComplete)
-          << variant.name << " round " << round;
-      ExpectSameEntries(resumed, full);
-    }
-  }
-}
-
-TEST_F(CheckpointResumeTest, ResumedCompleteRunIsStillBitIdentical) {
-  // Resuming after the run already finished (checkpoint marked done) must
-  // reproduce the final result without rerunning selection.
-  const size_t k = 6;
-  core::IsumOptions options;
-  options.checkpoint.path = FreshCkptBase("resume_done");
-  options.checkpoint.every_rounds = 1;
-  const workload::CompressedWorkload first =
-      core::Isum(&*env_->workload, options).Compress(k);
-  ASSERT_EQ(first.stop_reason, StopReason::kComplete);
-  const workload::CompressedWorkload again =
-      core::Isum(&*env_->workload, options).Compress(k);
-  EXPECT_EQ(again.stop_reason, StopReason::kComplete);
-  ExpectSameEntries(again, first);
-}
-
-TEST_F(CheckpointResumeTest, CorruptEpochFallsBackAndStillMatches) {
-  // Corrupting the newest epoch between kill and resume exercises the
-  // fallback path end to end: the previous epoch restores a shorter prefix
-  // and the rerun must still converge to the identical result.
-  const size_t k = 8;
-  const workload::CompressedWorkload full =
-      core::Isum(&*env_->workload).Compress(k);
-  ASSERT_GT(full.entries.size(), 3u);
-
-  core::IsumOptions options;
-  options.checkpoint.path = FreshCkptBase("corrupt_fallback");
-  options.checkpoint.every_rounds = 1;
-  KillAtRound("compress.select", 3);
-  (void)core::Isum(&*env_->workload, options).Compress(k);
-  FaultInjector::Global().Reset();
-
-  // Flip one byte in the newest .compress epoch file.
-  const std::filesystem::path dir =
-      std::filesystem::path(options.checkpoint.path).parent_path();
-  std::filesystem::path newest;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    const std::string file = entry.path().filename().string();
-    if (file.rfind("corrupt_fallback.compress.", 0) == 0 &&
-        (newest.empty() || file > newest.filename().string())) {
-      newest = entry.path();
-    }
-  }
-  ASSERT_FALSE(newest.empty());
-  std::string bytes = ReadFileToString(newest.string()).value();
-  bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x01);
-  ASSERT_TRUE(WriteFileAtomic(newest.string(), bytes).ok());
-
-  const workload::CompressedWorkload resumed =
-      core::Isum(&*env_->workload, options).Compress(k);
-  EXPECT_EQ(resumed.stop_reason, StopReason::kComplete);
-  ExpectSameEntries(resumed, full);
-}
-
 TEST_F(CheckpointResumeTest, EnumerationResumesBitIdentical) {
-  std::vector<advisor::WeightedQuery> queries;
-  for (size_t i = 0; i < env_->workload->size(); ++i) {
-    queries.push_back({&env_->workload->query(i).bound, 1.0});
-  }
+  const std::vector<advisor::WeightedQuery> queries = UnitQueries();
   advisor::TuningOptions base;
   base.max_indexes = 5;
   advisor::DtaStyleAdvisor advisor(env_->cost_model.get());
@@ -553,6 +404,42 @@ TEST_F(CheckpointResumeTest, EnumerationResumesBitIdentical) {
               full.optimizer_calls + selection_calls)
         << "round " << round;
   }
+}
+
+TEST_F(CheckpointResumeTest, CorruptEpochFallsBackAndStillMatches) {
+  // Corrupting the newest epoch between kill and resume exercises the
+  // fallback path end to end: the previous epoch restores a shorter prefix
+  // and the rerun must still converge to the identical result.
+  const std::vector<advisor::WeightedQuery> queries = UnitQueries();
+  advisor::TuningOptions options;
+  options.max_indexes = 5;
+  advisor::DtaStyleAdvisor advisor(env_->cost_model.get());
+  const advisor::TuningResult full = advisor.Tune(queries, options);
+  ASSERT_GT(full.configuration.size(), 3u);
+
+  options.checkpoint.path = FreshCkptBase("corrupt_fallback");
+  options.checkpoint.every_rounds = 1;
+  KillAtRound("advisor.enumerate", 3);
+  (void)advisor.Tune(queries, options);
+  FaultInjector::Global().Reset();
+
+  // Flip one byte in the newest .enum epoch file.
+  const std::filesystem::path newest =
+      NewestEpoch(options.checkpoint.path, ".enum");
+  ASSERT_FALSE(newest.empty());
+  std::string bytes = ReadFileToString(newest.string()).value();
+  bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x01);
+  ASSERT_TRUE(WriteFileAtomic(newest.string(), bytes).ok());
+
+  const advisor::TuningResult resumed = advisor.Tune(queries, options);
+  EXPECT_EQ(resumed.stop_reason, StopReason::kComplete);
+  EXPECT_EQ(resumed.configuration.StableHash(),
+            full.configuration.StableHash());
+  EXPECT_EQ(Bits(resumed.initial_cost), Bits(full.initial_cost));
+  EXPECT_EQ(Bits(resumed.final_cost), Bits(full.final_cost));
+  // The previous epoch was restored, not skipped: resuming made fewer
+  // optimizer calls than the uninterrupted run.
+  EXPECT_LT(resumed.optimizer_calls, full.optimizer_calls);
 }
 
 /// Fingerprint an enumeration snapshot had while the what-if memo keyed on
@@ -640,16 +527,7 @@ TEST_F(CheckpointResumeTest, EnumerationSnapshotUnderWholeConfigKeyIsIgnored) {
   KillAtRound("advisor.enumerate", 2);
   (void)enumerate(killed_path);
   FaultInjector::Global().Reset();
-  const std::filesystem::path dir =
-      std::filesystem::path(killed_path).parent_path();
-  std::filesystem::path newest;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    const std::string file = entry.path().filename().string();
-    if (file.rfind("enum_old_key_src.enum.", 0) == 0 &&
-        (newest.empty() || file > newest.filename().string())) {
-      newest = entry.path();
-    }
-  }
+  const std::filesystem::path newest = NewestEpoch(killed_path, ".enum");
   ASSERT_FALSE(newest.empty());
   const CheckpointReader killed =
       CheckpointReader::Parse(ReadFileToString(newest.string()).value())
@@ -687,29 +565,22 @@ TEST_F(CheckpointResumeTest, EnumerationSnapshotUnderWholeConfigKeyIsIgnored) {
 // --- tracecat ckpt ---
 
 TEST_F(CheckpointResumeTest, TracecatInspectsWrittenEpochs) {
-  core::IsumOptions options;
+  advisor::TuningOptions options;
+  options.max_indexes = 3;
   options.checkpoint.path = FreshCkptBase("inspect");
   options.checkpoint.every_rounds = 1;
-  const workload::CompressedWorkload out =
-      core::Isum(&*env_->workload, options).Compress(5);
+  advisor::DtaStyleAdvisor advisor(env_->cost_model.get());
+  const advisor::TuningResult out = advisor.Tune(UnitQueries(), options);
   ASSERT_EQ(out.stop_reason, StopReason::kComplete);
 
-  const std::filesystem::path dir =
-      std::filesystem::path(options.checkpoint.path).parent_path();
-  std::string epoch_path;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    const std::string file = entry.path().filename().string();
-    if (file.rfind("inspect.compress.", 0) == 0) {
-      epoch_path = entry.path().string();
-      break;
-    }
-  }
+  const std::string epoch_path =
+      NewestEpoch(options.checkpoint.path, ".enum").string();
   ASSERT_FALSE(epoch_path.empty());
 
   StatusOr<std::string> report = tracecat::InspectCheckpoint(epoch_path);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_NE(report->find("isum-ckpt-v1"), std::string::npos);
-  EXPECT_NE(report->find("selection snapshot"), std::string::npos);
+  EXPECT_NE(report->find("enumeration snapshot"), std::string::npos);
   EXPECT_NE(report->find("round(s)"), std::string::npos);
 
   // Verification is the same decode: a damaged file errors instead.

@@ -981,27 +981,14 @@ const EventSpec* FindEventSpec(const std::string& event) {
   return nullptr;
 }
 
-/// The obs::SelectionOrderHash FNV-1a constants, needed here in incremental
-/// form: a resumed journal carries only the post-restore select events, so
-/// the verifier seeds the hash state from the ckpt_restore record's
-/// prefix_hash instead of replaying the whole order.
-constexpr uint64_t kSelectionHashOffset = 1469598103934665603ull;
-constexpr uint64_t kSelectionHashPrime = 1099511628211ull;
-
-uint64_t ExtendSelectionHash(uint64_t h, const std::vector<size_t>& order) {
-  for (const size_t id : order) {
-    h ^= static_cast<uint64_t>(id);
-    h *= kSelectionHashPrime;
-  }
-  return h;
-}
-
-/// Compares an (incrementally) recomputed selection hash against the
-/// compress_end record's selection_hash.
-Status VerifySelectionHash(uint64_t recomputed,
+/// Recomputes obs::SelectionOrderHash over a block's select order and
+/// compares it against the compress_end record's selection_hash.
+Status VerifySelectionHash(const std::vector<size_t>& order,
                            const JournalEvent& end_event) {
   auto recorded = end_event.String("selection_hash");
   if (!recorded.ok()) return recorded.status();
+  const uint64_t recomputed = obs::SelectionOrderHash(order.data(),
+                                                      order.size());
   const uint64_t stored =
       std::strtoull(recorded.value().c_str(), nullptr, 16);
   if (recomputed != stored) {
@@ -1028,9 +1015,7 @@ StatusOr<size_t> CheckJournal(const std::vector<JournalEvent>& events) {
   }
 
   bool in_compress = false;
-  uint64_t sel_hash = kSelectionHashOffset;
-  uint64_t sel_count = 0;
-  uint64_t expected_round = 0;
+  std::vector<size_t> order;
   for (size_t i = 0; i < events.size(); ++i) {
     const JournalEvent& e = events[i];
     if (e.seq != i) {
@@ -1057,61 +1042,33 @@ StatusOr<size_t> CheckJournal(const std::vector<JournalEvent>& events) {
                                   StrFormat("%llu", (unsigned long long)e.seq));
       }
       in_compress = true;
-      sel_hash = kSelectionHashOffset;
-      sel_count = 0;
-      expected_round = 0;
-    } else if (e.event == "ckpt_restore") {
-      auto phase = e.String("phase");
-      if (!phase.ok()) return phase.status();
-      if (phase.value() == "compress") {
-        // A resumed compression block: the journal carries only the
-        // post-restore select events, so seed the incremental hash state
-        // from the restored prefix.
-        if (!in_compress) {
-          return Status::ParseError(
-              "compress ckpt_restore outside a compression block");
-        }
-        if (sel_count != 0) {
-          return Status::ParseError(
-              "ckpt_restore after select events in the same block");
-        }
-        auto restored = e.Number("restored");
-        if (!restored.ok()) return restored.status();
-        auto prefix = e.String("prefix_hash");
-        if (!prefix.ok()) return prefix.status();
-        sel_count = static_cast<uint64_t>(restored.value());
-        expected_round = sel_count;
-        sel_hash = std::strtoull(prefix.value().c_str(), nullptr, 16);
-      }
+      order.clear();
     } else if (e.event == "select") {
       if (!in_compress) {
         return Status::ParseError("select outside a compression block");
       }
       auto round = e.Number("round");
       if (!round.ok()) return round.status();
-      if (static_cast<uint64_t>(round.value()) != expected_round) {
+      if (static_cast<size_t>(round.value()) != order.size()) {
         return Status::ParseError(StrFormat(
-            "non-contiguous selection rounds: expected %llu, got %.0f",
-            static_cast<unsigned long long>(expected_round), round.value()));
+            "non-contiguous selection rounds: expected %zu, got %.0f",
+            order.size(), round.value()));
       }
-      ++expected_round;
       auto query = e.Number("query");
       if (!query.ok()) return query.status();
-      sel_hash ^= static_cast<uint64_t>(query.value());
-      sel_hash *= kSelectionHashPrime;
-      ++sel_count;
+      order.push_back(static_cast<size_t>(query.value()));
     } else if (e.event == "compress_end") {
       if (!in_compress) {
         return Status::ParseError("compress_end without compress_begin");
       }
       auto selected = e.Number("selected");
       if (!selected.ok()) return selected.status();
-      if (static_cast<uint64_t>(selected.value()) != sel_count) {
+      if (static_cast<size_t>(selected.value()) != order.size()) {
         return Status::ParseError(StrFormat(
-            "compress_end claims %.0f selections but block has %llu",
-            selected.value(), static_cast<unsigned long long>(sel_count)));
+            "compress_end claims %.0f selections but block has %zu",
+            selected.value(), order.size()));
       }
-      const Status hash = VerifySelectionHash(sel_hash, e);
+      const Status hash = VerifySelectionHash(order, e);
       if (!hash.ok()) return hash;
       in_compress = false;
     }
@@ -1134,11 +1091,6 @@ struct CompressBlock {
   std::vector<size_t> order;
   std::vector<uint64_t> reset_rounds;  ///< selected-so-far at each reset
   const JournalEvent* end = nullptr;
-  /// Checkpoint-resume seed: the restored prefix's hash state and length
-  /// (kSelectionHashOffset/0 for a from-scratch block).
-  uint64_t seed_hash = kSelectionHashOffset;
-  uint64_t restored = 0;
-  bool resumed = false;
 };
 
 std::string HumanGap(double gap) {
@@ -1216,21 +1168,6 @@ StatusOr<std::string> ExplainJournal(const std::vector<JournalEvent>& events,
       ticks.push_back(&e);
     } else if (e.event == "ckpt_write" || e.event == "ckpt_restore") {
       ckpt_events.push_back(&e);
-      if (e.event == "ckpt_restore" && open_block != nullptr) {
-        auto phase = e.String("phase");
-        if (phase.ok() && phase.value() == "compress") {
-          open_block->resumed = true;
-          auto restored = e.Number("restored");
-          if (restored.ok()) {
-            open_block->restored = static_cast<uint64_t>(restored.value());
-          }
-          auto prefix = e.String("prefix_hash");
-          if (prefix.ok()) {
-            open_block->seed_hash =
-                std::strtoull(prefix.value().c_str(), nullptr, 16);
-          }
-        }
-      }
     } else if (e.event == "pipeline_end") {
       pipeline_end = &e;
     }
@@ -1250,8 +1187,7 @@ StatusOr<std::string> ExplainJournal(const std::vector<JournalEvent>& events,
       if (reason.ok()) stop_reason = reason.value();
       auto sum = block.end->Number("benefit_sum");
       if (sum.ok()) benefit_sum = sum.value();
-      const Status hash = VerifySelectionHash(
-          ExtendSelectionHash(block.seed_hash, block.order), *block.end);
+      const Status hash = VerifySelectionHash(block.order, *block.end);
       if (hash.ok()) {
         auto recorded = block.end->String("selection_hash");
         hash_note = StrFormat("%s (recomputed: match)",
@@ -1268,14 +1204,7 @@ StatusOr<std::string> ExplainJournal(const std::vector<JournalEvent>& events,
         static_cast<unsigned long long>(block.k),
         static_cast<unsigned long long>(block.threads), stop_reason.c_str());
     out += StrFormat("selected %zu, estimated benefit sum %.6g\n",
-                     static_cast<size_t>(block.restored) + block.order.size(),
-                     benefit_sum);
-    if (block.resumed) {
-      out += StrFormat(
-          "resumed from checkpoint: %llu round(s) restored, %zu run live\n",
-          static_cast<unsigned long long>(block.restored),
-          block.order.size());
-    }
+                     block.order.size(), benefit_sum);
     out += StrFormat("selection hash: %s\n", hash_note.c_str());
     if (!block.reset_rounds.empty()) {
       out += "feature resets after:";
@@ -1643,9 +1572,9 @@ StatusOr<std::string> InspectCheckpoint(const std::string& path) {
     out += StrFormat("  section %u: %zu byte(s)\n", id,
                      reader->SectionSize(id));
   }
-  // Both snapshot layouts keep their scalars in section 1; the enumeration
-  // layout is distinguished by its 48-byte meta plus the what-if cache
-  // section (4). Anything else prints as a raw container.
+  // The enumeration layout is recognized by its 48-byte meta (section 1)
+  // plus the what-if cache section (4). Anything else prints as a raw
+  // container.
   if (reader->SectionSize(1) == 48 && reader->HasSection(4)) {
     auto meta = reader->Section(1);
     if (!meta.ok()) return meta.status();
@@ -1671,31 +1600,6 @@ StatusOr<std::string> InspectCheckpoint(const std::string& path) {
         static_cast<unsigned long long>(fingerprint), winner_ids.size(),
         cost_vec.size(), static_cast<unsigned long long>(cache_count),
         static_cast<unsigned long long>(explored),
-        StopReasonNote(reason).c_str(), done != 0 ? ", done" : "");
-  } else if (reader->SectionSize(1) == 32) {
-    auto meta = reader->Section(1);
-    if (!meta.ok()) return meta.status();
-    ISUM_ASSIGN_OR_RETURN(const uint64_t fingerprint, meta->ReadU64());
-    ISUM_ASSIGN_OR_RETURN(const uint64_t done, meta->ReadU64());
-    ISUM_ASSIGN_OR_RETURN(const uint64_t reason, meta->ReadU64());
-    ISUM_ASSIGN_OR_RETURN(const uint64_t rounds, meta->ReadU64());
-    auto ids_cursor = reader->Section(2);
-    if (!ids_cursor.ok()) return ids_cursor.status();
-    ISUM_ASSIGN_OR_RETURN(const std::vector<uint64_t> ids,
-                          ids_cursor->ReadU64Vector());
-    if (ids.size() != rounds) {
-      return Status::ParseError(StrFormat(
-          "selection snapshot: meta claims %llu round(s), ids section has "
-          "%zu",
-          static_cast<unsigned long long>(rounds), ids.size()));
-    }
-    std::vector<size_t> order(ids.begin(), ids.end());
-    out += StrFormat(
-        "selection snapshot: fingerprint %016llx, %zu round(s), prefix hash "
-        "%016llx, stop %s%s\n",
-        static_cast<unsigned long long>(fingerprint), order.size(),
-        static_cast<unsigned long long>(
-            obs::SelectionOrderHash(order.data(), order.size())),
         StopReasonNote(reason).c_str(), done != 0 ? ", done" : "");
   }
   return out;

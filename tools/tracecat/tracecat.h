@@ -224,8 +224,8 @@ std::string WatchFrame(const std::vector<PromSample>& samples);
 
 /// Human summary of one checkpoint file for `tracecat ckpt inspect`:
 /// container header, per-section sizes, and the decoded snapshot metadata
-/// when the sections match the compression (.compress) or enumeration
-/// (.enum) layout. Errors on unreadable or structurally invalid files —
+/// when the sections match the enumeration (.enum) layout; any other
+/// container prints raw. Errors on unreadable or structurally invalid files —
 /// the same validation a resuming run applies, so `tracecat ckpt verify`
 /// (inspect minus the printing) answers "would this file restore?".
 StatusOr<std::string> InspectCheckpoint(const std::string& path);
