@@ -418,10 +418,10 @@ class ObsScope {
     }
   }
 
-  /// Renders one self-contained bench record. The layout is valid JSON kept
-  /// deliberately line-disciplined — one object or scalar per line — so
-  /// tools/tracecat (and grep) can process it without a full JSON parser,
-  /// like the Chrome trace exporter. Schema: docs/BENCHMARKING.md.
+  /// Renders one self-contained bench record: valid JSON with one object or
+  /// scalar per line, so trajectory diffs stay readable. tools/tracecat
+  /// reads it with common/json.h, whatever the layout. Schema:
+  /// docs/BENCHMARKING.md.
   std::string RenderBenchJson(const obs::TraceDump& dump,
                               double wall_seconds) const {
     // Per-phase totals, aggregated by span name, descending total.

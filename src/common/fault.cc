@@ -8,7 +8,8 @@
 
 #include "common/deadline.h"
 #include "common/hash.h"
-#include "common/jsonl.h"
+#include "common/json.h"
+#include "common/math_util.h"
 #include "common/string_util.h"
 #include "obs/metrics.h"
 
@@ -77,20 +78,19 @@ Status FaultInjector::Configure(const std::string& spec) {
   auto config = std::make_shared<Config>();
   config->seed = kDefaultSeed;
   for (const std::string& entry : SplitEntries(spec)) {
-    if (JsonHasKey(entry, "seed")) {
-      ISUM_ASSIGN_OR_RETURN(const double seed,
-                            JsonExtractNumber(entry, "seed"));
+    ISUM_ASSIGN_OR_RETURN(const JsonValue rule, ParseJson(entry));
+    if (rule.Find("seed") != nullptr) {
+      ISUM_ASSIGN_OR_RETURN(const double seed, rule.Number("seed"));
       if (seed < 0.0) {
         return Status::InvalidArgument("fault spec: seed must be >= 0 in " +
                                        entry);
       }
-      config->seed = static_cast<uint64_t>(seed);
+      config->seed = SaturatingCast<uint64_t>(seed);
       continue;
     }
     auto fault = std::make_unique<Fault>();
-    ISUM_ASSIGN_OR_RETURN(fault->site, JsonExtractString(entry, "site"));
-    ISUM_ASSIGN_OR_RETURN(const std::string kind,
-                          JsonExtractString(entry, "kind"));
+    ISUM_ASSIGN_OR_RETURN(fault->site, rule.String("site"));
+    ISUM_ASSIGN_OR_RETURN(const std::string kind, rule.String("kind"));
     if (kind == "error") {
       fault->kind = Kind::kError;
     } else if (kind == "latency") {
@@ -99,27 +99,26 @@ Status FaultInjector::Configure(const std::string& spec) {
       return Status::InvalidArgument("fault spec: unknown kind \"" + kind +
                                      "\" in " + entry);
     }
-    ISUM_ASSIGN_OR_RETURN(fault->probability, JsonExtractNumber(entry, "p"));
+    ISUM_ASSIGN_OR_RETURN(fault->probability, rule.Number("p"));
     if (fault->probability < 0.0 || fault->probability > 1.0) {
       return Status::InvalidArgument("fault spec: p must be in [0, 1] in " +
                                      entry);
     }
     if (fault->kind == Kind::kLatency) {
-      ISUM_ASSIGN_OR_RETURN(const double ms, JsonExtractNumber(entry, "ms"));
+      ISUM_ASSIGN_OR_RETURN(const double ms, rule.Number("ms"));
       if (ms < 0.0) {
         return Status::InvalidArgument("fault spec: ms must be >= 0 in " +
                                        entry);
       }
-      fault->latency_nanos = static_cast<uint64_t>(ms * 1e6);
+      fault->latency_nanos = SaturatingCast<uint64_t>(ms * 1e6);
     }
-    if (JsonHasKey(entry, "after")) {
-      ISUM_ASSIGN_OR_RETURN(const double after,
-                            JsonExtractNumber(entry, "after"));
+    if (rule.Find("after") != nullptr) {
+      ISUM_ASSIGN_OR_RETURN(const double after, rule.Number("after"));
       if (after < 0.0) {
         return Status::InvalidArgument("fault spec: after must be >= 0 in " +
                                        entry);
       }
-      fault->after = static_cast<uint64_t>(after);
+      fault->after = SaturatingCast<uint64_t>(after);
     }
     fault->site_hash = HashBytes(fault->site);
     config->faults.push_back(std::move(fault));

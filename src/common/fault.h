@@ -22,7 +22,8 @@ namespace isum {
 ///
 /// Configuration comes from the ISUM_FAULTS environment variable or a
 /// --faults= flag (bench_util.h). The spec is `;`-separated flat JSON
-/// objects, parsed with common/jsonl.h:
+/// objects, each parsed with common/json.h (an entry with a "seed" member
+/// sets the seed; every other entry is a rule):
 ///
 ///   {"seed":42};{"site":"whatif.cost","kind":"error","p":0.25};
 ///   {"site":"*","kind":"latency","p":1.0,"ms":0.5};

@@ -2,6 +2,7 @@
 #define ISUM_COMMON_MATH_UTIL_H_
 
 #include <cstddef>
+#include <limits>
 #include <vector>
 
 namespace isum {
@@ -34,6 +35,18 @@ std::vector<double> FractionalRanks(const std::vector<double>& x);
 
 /// Clamps v to [lo, hi].
 double Clamp(double v, double lo, double hi);
+
+/// `v` truncated toward zero into `Int`, saturating at Int's limits (NaN
+/// gives the lowest value). A plain static_cast of an out-of-range double
+/// is undefined, so numbers read from files go through this instead.
+template <typename Int>
+Int SaturatingCast(double v) {
+  constexpr Int kLowest = std::numeric_limits<Int>::lowest();
+  constexpr Int kMax = std::numeric_limits<Int>::max();
+  if (!(v > static_cast<double>(kLowest))) return kLowest;
+  if (v >= static_cast<double>(kMax)) return kMax;
+  return static_cast<Int>(v);
+}
 
 }  // namespace isum
 

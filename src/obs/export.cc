@@ -5,7 +5,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "common/jsonl.h"
+#include "common/json.h"
 #include "common/string_util.h"
 
 namespace isum::obs {

@@ -15,12 +15,13 @@ namespace isum::obs {
 ///  - Chrome trace JSON (`trace.json`): loads directly in Perfetto
 ///    (https://ui.perfetto.dev) or chrome://tracing. One complete event
 ///    ("ph":"X") per span, preceded by thread_name metadata events. The
-///    file is a JSON array with one event per line, so line-oriented tools
-///    (tools/tracecat, grep) can process it without a full JSON parser.
+///    file is a JSON array with one event per line, which keeps it
+///    greppable; tools/tracecat reads it with common/json.h and does not
+///    depend on the layout.
 ///
 ///  - JSONL: one flat JSON object per line for spans
 ///    ({"type":"span",...}) and metrics ({"type":"counter"|"gauge"|
-///    "histogram",...}), matching the common/jsonl.h helpers.
+///    "histogram",...}); readers parse each line with common/json.h.
 ///
 /// Timestamps/durations are microseconds with nanosecond precision
 /// (Chrome's native unit).
@@ -59,10 +60,10 @@ struct ProfileMeta {
 std::string CollapsedStacks(const ProfileDump& dump);
 
 /// Renders `dump` as a structured isum-profile-v1 record: one JSON object,
-/// line-disciplined like isum-bench-v1 (one scalar or object per line), with
-/// per-phase sample totals, top frames by self/total samples, and the
-/// allocation hot-list. Read back by `tracecat profile`; schema documented
-/// in docs/OBSERVABILITY.md.
+/// laid out like isum-bench-v1 (one scalar or object per line, for readable
+/// diffs; readers do not depend on it), with per-phase sample totals, top
+/// frames by self/total samples, and the allocation hot-list. Read back by
+/// `tracecat profile`; schema documented in docs/OBSERVABILITY.md.
 std::string ProfileJson(const ProfileDump& dump, const ProfileMeta& meta);
 
 /// Writes `content` to `path` (helper shared by the bench drivers).

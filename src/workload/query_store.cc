@@ -1,17 +1,11 @@
 #include "workload/query_store.h"
 
-#include "common/jsonl.h"
+#include "common/json.h"
 #include "common/string_util.h"
 #include "sql/binder.h"
 #include "sql/parser.h"
 
 namespace isum::workload {
-
-std::string JsonEscape(const std::string& raw) { return isum::JsonEscape(raw); }
-
-StatusOr<std::string> JsonUnescape(const std::string& escaped) {
-  return isum::JsonUnescape(escaped);
-}
 
 std::string SaveQueryStore(const Workload& workload) {
   std::string out;
@@ -32,11 +26,12 @@ StatusOr<int> LoadQueryStore(const std::string& jsonl, Workload* workload) {
   sql::Binder binder(workload->env().catalog, workload->env().stats);
   for (const std::string& line : Split(jsonl, '\n')) {
     if (Trim(line).empty()) continue;
-    ISUM_ASSIGN_OR_RETURN(std::string sql, JsonExtractString(line, "sql"));
-    ISUM_ASSIGN_OR_RETURN(double cost, JsonExtractNumber(line, "cost"));
+    ISUM_ASSIGN_OR_RETURN(const JsonValue row, ParseJson(line));
+    ISUM_ASSIGN_OR_RETURN(std::string sql, row.String("sql"));
+    ISUM_ASSIGN_OR_RETURN(double cost, row.Number("cost"));
     std::string tag;
-    if (JsonHasKey(line, "tag")) {
-      ISUM_ASSIGN_OR_RETURN(tag, JsonExtractString(line, "tag"));
+    if (row.Find("tag") != nullptr) {
+      ISUM_ASSIGN_OR_RETURN(tag, row.String("tag"));
     }
     ISUM_ASSIGN_OR_RETURN(sql::SelectStatement stmt, sql::ParseSelect(sql));
     ISUM_ASSIGN_OR_RETURN(sql::BoundQuery bound, binder.Bind(stmt, sql));

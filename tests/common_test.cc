@@ -84,6 +84,18 @@ TEST(MathUtil, ClampBounds) {
   EXPECT_EQ(Clamp(0.5, 0, 1), 0.5);
 }
 
+TEST(MathUtil, SaturatingCastTruncatesInRangeAndClampsOutside) {
+  EXPECT_EQ(SaturatingCast<uint64_t>(41.9), 41u);
+  EXPECT_EQ(SaturatingCast<uint64_t>(-3.0), 0u);
+  EXPECT_EQ(SaturatingCast<uint64_t>(1e300),
+            std::numeric_limits<uint64_t>::max());
+  EXPECT_EQ(SaturatingCast<int64_t>(-2.5), -2);
+  EXPECT_EQ(SaturatingCast<int64_t>(-1e300),
+            std::numeric_limits<int64_t>::lowest());
+  EXPECT_EQ(SaturatingCast<int>(3e9), std::numeric_limits<int>::max());
+  EXPECT_EQ(SaturatingCast<uint32_t>(std::nan("")), 0u);
+}
+
 // --- rng ---
 
 TEST(Rng, DeterministicForEqualSeeds) {

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -127,6 +128,16 @@ TEST_F(FaultStressTest, ConcurrentConfigureWhileInjecting) {
                   .ok());
   EXPECT_FALSE(CheckFault("stress.site").ok());
   EXPECT_EQ(FaultInjector::Global().injected(), 1u);
+}
+
+TEST_F(FaultStressTest, SiteNamedSeedIsARuleNotTheSeed) {
+  // "seed" as a value must not make the entry a seed entry.
+  ASSERT_TRUE(FaultInjector::Global()
+                  .Configure("{\"site\":\"seed\",\"kind\":\"error\",\"p\":1}")
+                  .ok());
+  EXPECT_EQ(FaultInjector::Global().ConfiguredSites(),
+            std::vector<std::string>{"seed"});
+  EXPECT_FALSE(CheckFault("seed").ok());
 }
 
 TEST_F(FaultStressTest, ParallelForCancellationDrains) {

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "common/deadline.h"
-#include "common/jsonl.h"
+#include "common/json.h"
 #include "core/isum.h"
 #include "obs/journal.h"
 #include "workload/workload_factory.h"
@@ -44,6 +44,14 @@ std::vector<std::string> ReadLines(const std::string& path) {
   std::string line;
   while (std::getline(in, line)) lines.push_back(line);
   return lines;
+}
+
+/// One journal line parsed as JSON; a line that does not parse fails the
+/// test and yields null, so every lookup on it fails too.
+JsonValue Parse(const std::string& line) {
+  StatusOr<JsonValue> value = ParseJson(line);
+  EXPECT_TRUE(value.ok()) << line;
+  return value.ok() ? std::move(value).value() : JsonValue();
 }
 
 class JournalTest : public testing::Test {
@@ -75,19 +83,19 @@ TEST_F(JournalTest, LifecycleIsWellFormed) {
                                    "select",        "feature_reset",
                                    "compress_end",  "journal_end"};
   for (size_t i = 0; i < lines.size(); ++i) {
-    auto event = JsonExtractString(lines[i], "event");
+    auto event = Parse(lines[i]).String("event");
     ASSERT_TRUE(event.ok()) << lines[i];
     EXPECT_EQ(event.value(), expected_events[i]);
-    auto seq = JsonExtractNumber(lines[i], "seq");
+    auto seq = Parse(lines[i]).Number("seq");
     ASSERT_TRUE(seq.ok()) << lines[i];
     EXPECT_EQ(seq.value(), static_cast<double>(i)) << "seq must be dense";
-    EXPECT_TRUE(JsonHasKey(lines[i], "t_us")) << lines[i];
+    EXPECT_NE(Parse(lines[i]).Find("t_us"), nullptr) << lines[i];
   }
-  EXPECT_EQ(JsonExtractString(lines[0], "schema").value(), "isum-events-v1");
-  EXPECT_EQ(JsonExtractString(lines[0], "label").value(), "journal_test");
-  EXPECT_EQ(JsonExtractNumber(lines[2], "query").value(), 42.0);
-  EXPECT_EQ(JsonExtractNumber(lines[2], "gap").value(), 0.25);
-  EXPECT_EQ(JsonExtractString(lines[4], "stop_reason").value(), "complete");
+  EXPECT_EQ(Parse(lines[0]).String("schema").value(), "isum-events-v1");
+  EXPECT_EQ(Parse(lines[0]).String("label").value(), "journal_test");
+  EXPECT_EQ(Parse(lines[2]).Number("query").value(), 42.0);
+  EXPECT_EQ(Parse(lines[2]).Number("gap").value(), 0.25);
+  EXPECT_EQ(Parse(lines[4]).String("stop_reason").value(), "complete");
 }
 
 TEST_F(JournalTest, FakeClockTimestampsAreDeterministic) {
@@ -104,7 +112,7 @@ TEST_F(JournalTest, FakeClockTimestampsAreDeterministic) {
   const std::vector<std::string> lines = ReadLines(path);
   ASSERT_EQ(lines.size(), 4u);
   for (size_t i = 0; i < lines.size(); ++i) {
-    EXPECT_EQ(JsonExtractNumber(lines[i], "t_us").value(),
+    EXPECT_EQ(Parse(lines[i]).Number("t_us").value(),
               1000.0 * static_cast<double>(i + 1));
   }
 }
@@ -146,8 +154,8 @@ TEST_F(JournalTest, BudgetTickIsRateLimited) {
 
   std::vector<double> remaining;
   for (const std::string& line : ReadLines(path)) {
-    if (JsonExtractString(line, "event").value() == "budget_tick") {
-      remaining.push_back(JsonExtractNumber(line, "remaining_s").value());
+    if (Parse(line).String("event").value() == "budget_tick") {
+      remaining.push_back(Parse(line).Number("remaining_s").value());
     }
   }
   EXPECT_EQ(remaining, (std::vector<double>{10.0, 9.7}));
@@ -165,8 +173,8 @@ TEST_F(JournalTest, BudgetStopDeduplicatesConsecutiveReasons) {
 
   std::vector<std::string> reasons;
   for (const std::string& line : ReadLines(path)) {
-    if (JsonExtractString(line, "event").value() == "budget_stop") {
-      reasons.push_back(JsonExtractString(line, "reason").value());
+    if (Parse(line).String("event").value() == "budget_stop") {
+      reasons.push_back(Parse(line).String("reason").value());
     }
   }
   EXPECT_EQ(reasons, (std::vector<std::string>{"deadline", "cancelled"}));
@@ -185,8 +193,8 @@ TEST_F(JournalTest, AbnormalStopReasonFlushesEagerly) {
   // artifact even if the process dies before the journal is closed).
   const std::vector<std::string> lines = ReadLines(path);
   ASSERT_EQ(lines.size(), 4u);
-  EXPECT_EQ(JsonExtractString(lines.back(), "event").value(), "compress_end");
-  EXPECT_EQ(JsonExtractString(lines.back(), "stop_reason").value(),
+  EXPECT_EQ(Parse(lines.back()).String("event").value(), "compress_end");
+  EXPECT_EQ(Parse(lines.back()).String("stop_reason").value(),
             "deadline");
 }
 
@@ -209,8 +217,8 @@ TEST_F(JournalTest, InjectedDeadlineRegressionFlushesSelection) {
 
   bool found_abnormal_end = false;
   for (const std::string& line : ReadLines(path)) {
-    if (JsonExtractString(line, "event").value() == "compress_end") {
-      EXPECT_EQ(JsonExtractString(line, "stop_reason").value(), "deadline");
+    if (Parse(line).String("event").value() == "compress_end") {
+      EXPECT_EQ(Parse(line).String("stop_reason").value(), "deadline");
       found_abnormal_end = true;
     }
   }
@@ -240,7 +248,7 @@ TEST_F(JournalTest, ConcurrentEmittersKeepSeqDense) {
   const std::vector<std::string> lines = ReadLines(path);
   ASSERT_EQ(lines.size(), 2u + kThreads * kPerThread);
   for (size_t i = 0; i < lines.size(); ++i) {
-    EXPECT_EQ(JsonExtractNumber(lines[i], "seq").value(),
+    EXPECT_EQ(Parse(lines[i]).Number("seq").value(),
               static_cast<double>(i));
   }
 }

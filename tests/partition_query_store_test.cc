@@ -4,6 +4,7 @@
 
 #include <optional>
 
+#include "common/json.h"
 #include "partition/partition_advisor.h"
 #include "workload/query_store.h"
 #include "workload/workload_factory.h"
@@ -117,18 +118,26 @@ TEST_F(PartitionTest, WeightsSteerTheChoice) {
 
 // --- Query Store persistence. ---
 
+/// Parses `body` as the inside of a JSON string literal.
+StatusOr<std::string> ParseStringLiteral(const std::string& body) {
+  ISUM_ASSIGN_OR_RETURN(const JsonValue value, ParseJson("\"" + body + "\""));
+  return value.string();
+}
+
 TEST(QueryStore, JsonEscapeRoundTrip) {
-  const std::string nasty = "a\"b\\c\nd\te'f\r";
-  auto back = workload::JsonUnescape(workload::JsonEscape(nasty));
-  ASSERT_TRUE(back.ok());
+  std::string nasty = "a\"b\\c\nd\te'f\r";
+  for (int c = 1; c < 0x80; ++c) nasty.push_back(static_cast<char>(c));
+  auto back = ParseStringLiteral(JsonEscape(nasty));
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(*back, nasty);
 }
 
 TEST(QueryStore, JsonUnescapeErrors) {
-  EXPECT_FALSE(workload::JsonUnescape("dangling\\").ok());
-  EXPECT_FALSE(workload::JsonUnescape("\\q").ok());
-  EXPECT_FALSE(workload::JsonUnescape("\\u12").ok());
-  EXPECT_TRUE(workload::JsonUnescape("\\u0041").ok());
+  EXPECT_FALSE(ParseStringLiteral("dangling\\").ok());
+  EXPECT_FALSE(ParseStringLiteral("\\q").ok());
+  EXPECT_FALSE(ParseStringLiteral("\\u12").ok());
+  EXPECT_FALSE(ParseStringLiteral("\\u00e9").ok());  // non-ASCII \u
+  EXPECT_EQ(ParseStringLiteral("\\u0041").value(), "A");
 }
 
 TEST(QueryStore, SaveLoadRoundTripPreservesCostsAndTags) {
@@ -161,6 +170,27 @@ TEST(QueryStore, LoadRejectsMalformedLines) {
   EXPECT_FALSE(workload::LoadQueryStore("{\"sql\": \"SELECT\", \"cost\": 1}", &w).ok());
   EXPECT_FALSE(
       workload::LoadQueryStore("{\"sql\": \"SELECT * FROM lineitem\"}", &w).ok());
+}
+
+TEST(QueryStore, ValuesThatSpellKeyNamesAreNotKeys) {
+  workload::GeneratorOptions gen;
+  gen.instances_per_template = 1;
+  gen.max_templates = 1;
+  workload::GeneratedWorkload env = workload::MakeTpch(gen);
+  workload::Workload w(env.workload->env());
+  // "tag" and "cost" appear as values; only members are keys.
+  auto loaded = workload::LoadQueryStore(
+      "{\"sql\": \"SELECT * FROM lineitem\", \"cost\": 2.5, "
+      "\"src\": \"tag\"}\n"
+      "{\"tag\": \"cost\", \"sql\": \"SELECT * FROM lineitem\", "
+      "\"cost\": 4}\n",
+      &w);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(*loaded, 2);
+  EXPECT_DOUBLE_EQ(w.query(0).base_cost, 2.5);
+  EXPECT_EQ(w.query(0).tag, "");
+  EXPECT_DOUBLE_EQ(w.query(1).base_cost, 4.0);
+  EXPECT_EQ(w.query(1).tag, "cost");
 }
 
 TEST(QueryStore, BlankLinesIgnored) {

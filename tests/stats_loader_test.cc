@@ -15,7 +15,8 @@ class StatsLoaderTest : public ::testing::Test {
     b.Table("orders", 1'000'000)
         .Key("id", catalog::ColumnType::kInt)
         .Col("odate", catalog::ColumnType::kDate)
-        .Col("status", catalog::ColumnType::kChar, 1);
+        .Col("status", catalog::ColumnType::kChar, 1)
+        .Col("max", catalog::ColumnType::kInt);
   }
 
   catalog::Catalog cat_;
@@ -71,6 +72,19 @@ TEST_F(StatsLoaderTest, ErrorsAreLoud) {
                                cat_, &stats_)
                    .ok());
   EXPECT_FALSE(LoadColumnStats("{\"column\": \"odate\"}", cat_, &stats_).ok());
+}
+
+TEST_F(StatsLoaderTest, ValuesThatSpellKeyNamesAreNotKeys) {
+  // The column is named "max"; its name must not be read as the max key.
+  auto loaded = LoadColumnStats(
+      "{\"table\":\"orders\",\"column\":\"max\",\"distinct\":10,"
+      "\"min\":0,\"max\":5}",
+      cat_, &stats_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const ColumnStats& max =
+      stats_.GetStats(cat_.ResolveColumn("orders", "max"));
+  EXPECT_GE(max.min_value, 0.0);
+  EXPECT_LE(max.max_value, 5.0);
 }
 
 TEST_F(StatsLoaderTest, DeterministicPerSeed) {

@@ -147,8 +147,52 @@ TEST(TracecatReport, RendersRobustnessCountersWhenPresent) {
   EXPECT_NE(report.find("deadline exceeded: 5"), std::string::npos);
 }
 
-/// A hand-written isum-bench-v1 record matching bench_util.h's emitter
-/// layout exactly (one key per line, sections as line-disciplined arrays).
+/// `json` as written, on one line, and re-indented by 4 spaces: the readers
+/// must not care how a record is laid out.
+std::vector<std::string> Layouts(const std::string& json) {
+  std::string flat;
+  std::string indented;
+  int depth = 0;
+  bool in_string = false;
+  auto newline = [&] {
+    indented += '\n';
+    indented.append(static_cast<size_t>(4 * depth), ' ');
+  };
+  for (size_t i = 0; i < json.size(); ++i) {
+    const char c = json[i];
+    if (in_string) {
+      flat += c;
+      indented += c;
+      if (c == '\\') {
+        flat += json[i + 1];
+        indented += json[++i];
+      } else if (c == '"') {
+        in_string = false;
+      }
+      continue;
+    }
+    if (c == ' ' || c == '\n') continue;
+    flat += c;
+    in_string = c == '"';
+    if (c == '}' || c == ']') {
+      --depth;
+      newline();
+    }
+    indented += c;
+    if (c == '{' || c == '[') {
+      ++depth;
+      newline();
+    } else if (c == ',') {
+      newline();
+    } else if (c == ':') {
+      indented += ' ';
+    }
+  }
+  return {json, flat, indented};
+}
+
+/// A hand-written isum-bench-v1 record in bench_util.h's emitter layout
+/// (one key per line, one section item per line).
 std::string SampleBenchRecord(const std::string& label, double wall,
                               double greedy_us, double feat_us) {
   std::string out;
@@ -185,25 +229,28 @@ std::string SampleBenchRecord(const std::string& label, double wall,
 }
 
 TEST(TracecatBench, ParsesSingleRecord) {
-  const auto parsed =
-      ParseBenchJson(SampleBenchRecord("pre", 4.5, 9000.0, 1200.0));
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  ASSERT_EQ(parsed.value().size(), 1u);
-  const BenchRecord& r = parsed.value()[0];
-  EXPECT_EQ(r.label, "pre");
-  EXPECT_EQ(r.bench, "bench_fig2_scalability");
-  EXPECT_EQ(r.git_rev, "abc1234");
-  EXPECT_DOUBLE_EQ(r.wall_seconds, 4.5);
-  EXPECT_EQ(r.peak_rss_bytes, 1048576u);
-  ASSERT_EQ(r.phases.size(), 2u);
-  EXPECT_EQ(r.phases[0].name, "compress/greedy-pick");
-  EXPECT_EQ(r.phases[0].count, 4u);
-  EXPECT_DOUBLE_EQ(r.phases[0].total_us, 9000.0);
-  ASSERT_EQ(r.counters.size(), 1u);
-  EXPECT_EQ(r.counters[0].first, "whatif.optimizer_calls");
-  EXPECT_DOUBLE_EQ(r.counters[0].second, 42.0);
-  ASSERT_EQ(r.run_names.size(), 1u);
-  EXPECT_EQ(r.run_names[0], "compress/n=1000");
+  for (const std::string& layout :
+       Layouts(SampleBenchRecord("pre", 4.5, 9000.0, 1200.0))) {
+    SCOPED_TRACE(layout);
+    const auto parsed = ParseBenchJson(layout);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    ASSERT_EQ(parsed.value().size(), 1u);
+    const BenchRecord& r = parsed.value()[0];
+    EXPECT_EQ(r.label, "pre");
+    EXPECT_EQ(r.bench, "bench_fig2_scalability");
+    EXPECT_EQ(r.git_rev, "abc1234");
+    EXPECT_DOUBLE_EQ(r.wall_seconds, 4.5);
+    EXPECT_EQ(r.peak_rss_bytes, 1048576u);
+    ASSERT_EQ(r.phases.size(), 2u);
+    EXPECT_EQ(r.phases[0].name, "compress/greedy-pick");
+    EXPECT_EQ(r.phases[0].count, 4u);
+    EXPECT_DOUBLE_EQ(r.phases[0].total_us, 9000.0);
+    ASSERT_EQ(r.counters.size(), 1u);
+    EXPECT_EQ(r.counters[0].first, "whatif.optimizer_calls");
+    EXPECT_DOUBLE_EQ(r.counters[0].second, 42.0);
+    ASSERT_EQ(r.run_names.size(), 1u);
+    EXPECT_EQ(r.run_names[0], "compress/n=1000");
+  }
 }
 
 TEST(TracecatBench, ParsesTrajectoryArray) {
@@ -490,8 +537,8 @@ TEST(TracecatBenchRss, FailsPastToleranceFirstToLast) {
 
 // ---- sampling profiles ----
 
-/// A hand-written isum-profile-v1 record matching obs::ProfileJson's
-/// layout exactly (one key per line, sections as line-disciplined arrays).
+/// A hand-written isum-profile-v1 record in obs::ProfileJson's layout (one
+/// key per line, one section item per line).
 std::string SampleProfileRecord() {
   std::string out;
   out += "{\n";
@@ -532,31 +579,34 @@ std::string SampleProfileRecord() {
 }
 
 TEST(TracecatProfile, ParsesFullRecord) {
-  const auto parsed = ParseProfileJson(SampleProfileRecord());
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  const ProfileRecord& r = parsed.value();
-  EXPECT_EQ(r.label, "run");
-  EXPECT_EQ(r.bench, "bench_fig2_scalability");
-  EXPECT_EQ(r.git_rev, "abc1234");
-  EXPECT_EQ(r.sample_hz, 100);
-  EXPECT_DOUBLE_EQ(r.wall_seconds, 2.5);
-  EXPECT_EQ(r.samples, 200u);
-  EXPECT_EQ(r.dropped, 3u);
-  EXPECT_EQ(r.attributed_samples, 190u);
-  EXPECT_DOUBLE_EQ(r.attributed_percent, 95.0);
-  EXPECT_TRUE(r.alloc_enabled);
-  EXPECT_EQ(r.alloc_total_bytes, 4096u);
-  EXPECT_EQ(r.alloc_live_bytes, -128);
-  EXPECT_EQ(r.alloc_peak_bytes, 2048u);
-  ASSERT_EQ(r.phases.size(), 3u);
-  EXPECT_EQ(r.phases[0].name, "compress/greedy-pick");
-  EXPECT_EQ(r.phases[0].samples, 150u);
-  ASSERT_EQ(r.frames.size(), 2u);
-  EXPECT_EQ(r.frames[0].name, "isum::core::Score");
-  EXPECT_EQ(r.frames[0].self, 120u);
-  EXPECT_EQ(r.frames[0].total, 150u);
-  ASSERT_EQ(r.alloc_phases.size(), 2u);
-  EXPECT_EQ(r.alloc_phases[0].bytes, 3072u);
+  for (const std::string& layout : Layouts(SampleProfileRecord())) {
+    SCOPED_TRACE(layout);
+    const auto parsed = ParseProfileJson(layout);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    const ProfileRecord& r = parsed.value();
+    EXPECT_EQ(r.label, "run");
+    EXPECT_EQ(r.bench, "bench_fig2_scalability");
+    EXPECT_EQ(r.git_rev, "abc1234");
+    EXPECT_EQ(r.sample_hz, 100);
+    EXPECT_DOUBLE_EQ(r.wall_seconds, 2.5);
+    EXPECT_EQ(r.samples, 200u);
+    EXPECT_EQ(r.dropped, 3u);
+    EXPECT_EQ(r.attributed_samples, 190u);
+    EXPECT_DOUBLE_EQ(r.attributed_percent, 95.0);
+    EXPECT_TRUE(r.alloc_enabled);
+    EXPECT_EQ(r.alloc_total_bytes, 4096u);
+    EXPECT_EQ(r.alloc_live_bytes, -128);
+    EXPECT_EQ(r.alloc_peak_bytes, 2048u);
+    ASSERT_EQ(r.phases.size(), 3u);
+    EXPECT_EQ(r.phases[0].name, "compress/greedy-pick");
+    EXPECT_EQ(r.phases[0].samples, 150u);
+    ASSERT_EQ(r.frames.size(), 2u);
+    EXPECT_EQ(r.frames[0].name, "isum::core::Score");
+    EXPECT_EQ(r.frames[0].self, 120u);
+    EXPECT_EQ(r.frames[0].total, 150u);
+    ASSERT_EQ(r.alloc_phases.size(), 2u);
+    EXPECT_EQ(r.alloc_phases[0].bytes, 3072u);
+  }
 }
 
 TEST(TracecatProfile, RoundTripsEmitterOutput) {

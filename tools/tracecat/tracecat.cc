@@ -3,72 +3,42 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <initializer_list>
+#include <span>
 #include <sstream>
 
 #include "common/checkpoint.h"
 #include "common/deadline.h"
-#include "common/jsonl.h"
+#include "common/json.h"
+#include "common/math_util.h"
 #include "common/string_util.h"
 #include "obs/journal.h"
 
 namespace isum::tracecat {
 
-namespace {
-
-/// Strips whitespace and a trailing comma from one raw trace line.
-std::string CleanLine(const std::string& raw) {
-  std::string line(Trim(raw));
-  if (!line.empty() && line.back() == ',') line.pop_back();
-  return line;
-}
-
-/// args.name of a thread_name metadata event. The top-level "name" key is
-/// "thread_name" itself, so the flat extractor cannot reach it; the args
-/// object is the only nested value the exporter writes.
-StatusOr<std::string> MetadataThreadName(const std::string& line) {
-  const std::string needle = "\"args\":{\"name\":";
-  const size_t pos = line.find(needle);
-  if (pos == std::string::npos) {
-    return Status::ParseError("metadata event without args.name: " + line);
-  }
-  return JsonExtractString(line.substr(pos + 8), "name");
-}
-
-}  // namespace
-
 StatusOr<std::vector<TraceEvent>> ParseChromeTrace(
     const std::string& content) {
+  ISUM_ASSIGN_OR_RETURN(const JsonValue doc, ParseJson(content));
+  if (!doc.is_array()) {
+    return Status::ParseError("Chrome trace is not a JSON array");
+  }
   std::vector<TraceEvent> events;
-  std::istringstream in(content);
-  std::string raw;
-  while (std::getline(in, raw)) {
-    const std::string line = CleanLine(raw);
-    if (line.empty() || line == "[" || line == "]") continue;
-    if (line.front() != '{') {
-      return Status::ParseError("unexpected trace line: " + line);
-    }
+  for (const JsonValue& item : doc.array()) {
     TraceEvent event;
-    auto phase = JsonExtractString(line, "ph");
-    if (!phase.ok()) return phase.status();
-    event.phase = phase.value();
-    auto tid = JsonExtractNumber(line, "tid");
-    if (!tid.ok()) return tid.status();
-    event.tid = static_cast<uint32_t>(tid.value());
+    ISUM_ASSIGN_OR_RETURN(event.phase, item.String("ph"));
+    ISUM_ASSIGN_OR_RETURN(const double tid, item.Number("tid"));
+    event.tid = SaturatingCast<uint32_t>(tid);
     if (event.phase == "M") {
-      auto name = MetadataThreadName(line);
-      if (!name.ok()) return name.status();
-      event.thread_name = name.value();
+      const JsonValue* args = item.Find("args");
+      if (args == nullptr) {
+        return Status::ParseError("metadata event without args.name");
+      }
+      ISUM_ASSIGN_OR_RETURN(event.thread_name, args->String("name"));
       event.name = "thread_name";
     } else if (event.phase == "X") {
-      auto name = JsonExtractString(line, "name");
-      if (!name.ok()) return name.status();
-      event.name = name.value();
-      auto ts = JsonExtractNumber(line, "ts");
-      if (!ts.ok()) return ts.status();
-      event.ts_us = ts.value();
-      auto dur = JsonExtractNumber(line, "dur");
-      if (!dur.ok()) return dur.status();
-      event.dur_us = dur.value();
+      ISUM_ASSIGN_OR_RETURN(event.name, item.String("name"));
+      ISUM_ASSIGN_OR_RETURN(event.ts_us, item.Number("ts"));
+      ISUM_ASSIGN_OR_RETURN(event.dur_us, item.Number("dur"));
     } else {
       return Status::ParseError("unsupported event phase: " + event.phase);
     }
@@ -123,38 +93,22 @@ std::vector<TraceEvent> TopSlowest(const std::vector<TraceEvent>& events,
 StatusOr<std::vector<MetricLine>> ParseMetricsJsonl(
     const std::string& content) {
   std::vector<MetricLine> metrics;
-  std::istringstream in(content);
-  std::string raw;
-  while (std::getline(in, raw)) {
-    const std::string line = CleanLine(raw);
-    if (line.empty()) continue;
+  for (const std::string& line : Split(content, '\n')) {
+    if (Trim(line).empty()) continue;
+    ISUM_ASSIGN_OR_RETURN(const JsonValue row, ParseJson(line));
     MetricLine m;
-    auto type = JsonExtractString(line, "type");
-    if (!type.ok()) return type.status();
-    m.type = type.value();
-    auto name = JsonExtractString(line, "name");
-    if (!name.ok()) return name.status();
-    m.name = name.value();
+    ISUM_ASSIGN_OR_RETURN(m.type, row.String("type"));
+    ISUM_ASSIGN_OR_RETURN(m.name, row.String("name"));
     if (m.type == "histogram") {
-      auto count = JsonExtractNumber(line, "count");
-      if (!count.ok()) return count.status();
-      m.count = static_cast<uint64_t>(count.value());
-      auto sum = JsonExtractNumber(line, "sum");
-      if (!sum.ok()) return sum.status();
-      m.sum = static_cast<uint64_t>(sum.value());
-      auto p50 = JsonExtractNumber(line, "p50");
-      if (!p50.ok()) return p50.status();
-      m.p50 = p50.value();
-      auto p95 = JsonExtractNumber(line, "p95");
-      if (!p95.ok()) return p95.status();
-      m.p95 = p95.value();
-      auto p99 = JsonExtractNumber(line, "p99");
-      if (!p99.ok()) return p99.status();
-      m.p99 = p99.value();
+      ISUM_ASSIGN_OR_RETURN(const double count, row.Number("count"));
+      m.count = SaturatingCast<uint64_t>(count);
+      ISUM_ASSIGN_OR_RETURN(const double sum, row.Number("sum"));
+      m.sum = SaturatingCast<uint64_t>(sum);
+      ISUM_ASSIGN_OR_RETURN(m.p50, row.Number("p50"));
+      ISUM_ASSIGN_OR_RETURN(m.p95, row.Number("p95"));
+      ISUM_ASSIGN_OR_RETURN(m.p99, row.Number("p99"));
     } else {
-      auto value = JsonExtractNumber(line, "value");
-      if (!value.ok()) return value.status();
-      m.value = value.value();
+      ISUM_ASSIGN_OR_RETURN(m.value, row.Number("value"));
     }
     metrics.push_back(std::move(m));
   }
@@ -252,150 +206,120 @@ std::string Report(const std::vector<TraceEvent>& events,
 
 namespace {
 
-/// Does a cleaned bench line carry this scalar key? The emitter writes one
-/// key per line, so a prefix check is unambiguous.
-bool LineHasKey(const std::string& line, const char* key) {
-  const std::string prefix = std::string("\"") + key + "\":";
-  return line.compare(0, prefix.size(), prefix) == 0;
+using StringFields =
+    std::initializer_list<std::pair<const char*, std::string*>>;
+using NumberFields = std::initializer_list<std::pair<const char*, double*>>;
+using ArrayFields = std::initializer_list<const char*>;
+
+/// Maps one record of a closed format (isum-bench-v1, isum-profile-v1) onto
+/// fields. The "schema" member must equal `schema`, and every other member
+/// must be one of `strings`, `numbers` or `arrays` with that JSON type: an
+/// unknown or mistyped key is schema drift, not something to skip. Absent
+/// members leave their targets untouched.
+Status ReadRecord(const JsonValue& object, const char* kind,
+                  const char* schema, StringFields strings,
+                  NumberFields numbers, ArrayFields arrays) {
+  if (!object.is_object()) {
+    return Status::ParseError(StrFormat("%s record is not an object", kind));
+  }
+  const JsonValue* tag = object.Find("schema");
+  if (tag == nullptr) {
+    return Status::ParseError(StrFormat("%s record without schema tag", kind));
+  }
+  if (tag->string() != schema) {
+    return Status::ParseError(StrFormat("unsupported %s schema: %s", kind,
+                                        tag->string().c_str()));
+  }
+  for (const JsonValue::Member& m : object.members()) {
+    bool typed = m.key == "schema";
+    bool known = typed;
+    for (const auto& [key, target] : strings) {
+      if (m.key != key) continue;
+      known = true;
+      typed = m.value.type() == JsonValue::Type::kString;
+      *target = m.value.string();
+    }
+    for (const auto& [key, target] : numbers) {
+      if (m.key != key) continue;
+      known = true;
+      typed = m.value.type() == JsonValue::Type::kNumber;
+      *target = m.value.number();
+    }
+    for (const char* key : arrays) {
+      if (m.key != key) continue;
+      known = true;
+      typed = m.value.is_array();
+    }
+    if (!known) {
+      return Status::ParseError(
+          StrFormat("unknown %s key: %s", kind, m.key.c_str()));
+    }
+    if (!typed) {
+      return Status::ParseError(
+          StrFormat("%s key %s has the wrong type", kind, m.key.c_str()));
+    }
+  }
+  return Status::OK();
+}
+
+/// The items of array member `key` (empty when absent; ReadRecord has
+/// already checked the type).
+const std::vector<JsonValue>& Items(const JsonValue& object, const char* key) {
+  static const JsonValue* const kAbsent = new JsonValue();
+  const JsonValue* value = object.Find(key);
+  return (value != nullptr ? value : kAbsent)->array();
+}
+
+StatusOr<BenchRecord> ReadBenchRecord(const JsonValue& object) {
+  BenchRecord record;
+  double peak_rss_bytes = 0.0;
+  ISUM_RETURN_IF_ERROR(ReadRecord(
+      object, "bench", "isum-bench-v1",
+      {{"label", &record.label},
+       {"bench", &record.bench},
+       {"git_rev", &record.git_rev}},
+      {{"wall_seconds", &record.wall_seconds},
+       {"peak_rss_bytes", &peak_rss_bytes}},
+      {"phases", "counters", "runs"}));
+  if (object.Find("wall_seconds") == nullptr ||
+      object.Find("peak_rss_bytes") == nullptr) {
+    return Status::ParseError(
+        "bench record missing wall_seconds/peak_rss_bytes");
+  }
+  record.peak_rss_bytes = SaturatingCast<uint64_t>(peak_rss_bytes);
+  for (const JsonValue& item : Items(object, "phases")) {
+    PhaseStat phase;
+    ISUM_ASSIGN_OR_RETURN(phase.name, item.String("name"));
+    ISUM_ASSIGN_OR_RETURN(const double count, item.Number("count"));
+    phase.count = SaturatingCast<uint64_t>(count);
+    ISUM_ASSIGN_OR_RETURN(phase.total_us, item.Number("total_us"));
+    ISUM_ASSIGN_OR_RETURN(phase.max_us, item.Number("max_us"));
+    record.phases.push_back(std::move(phase));
+  }
+  for (const JsonValue& item : Items(object, "counters")) {
+    ISUM_ASSIGN_OR_RETURN(std::string name, item.String("name"));
+    ISUM_ASSIGN_OR_RETURN(const double value, item.Number("value"));
+    record.counters.emplace_back(std::move(name), value);
+  }
+  for (const JsonValue& item : Items(object, "runs")) {
+    ISUM_ASSIGN_OR_RETURN(std::string name, item.String("name"));
+    record.run_names.push_back(std::move(name));
+  }
+  return record;
 }
 
 }  // namespace
 
 StatusOr<std::vector<BenchRecord>> ParseBenchJson(const std::string& content) {
-  // Line state machine matching bench_util.h's RenderBenchJson layout: a
-  // record is `{`, one scalar per line, then the phases/counters/runs
-  // sections, then `}`. A trajectory file wraps records in a JSON array.
-  enum class Section { kTopLevel, kScalars, kPhases, kCounters, kRuns };
-  Section section = Section::kTopLevel;
-
+  ISUM_ASSIGN_OR_RETURN(const JsonValue doc, ParseJson(content));
+  // A trajectory file is an array of records; an emitter file is one.
+  const std::span<const JsonValue> objects =
+      doc.is_array() ? std::span<const JsonValue>(doc.array())
+                     : std::span<const JsonValue>(&doc, 1);
   std::vector<BenchRecord> records;
-  BenchRecord record;
-  bool saw_schema = false;
-  bool saw_wall = false;
-  bool saw_rss = false;
-
-  std::istringstream in(content);
-  std::string raw;
-  while (std::getline(in, raw)) {
-    const std::string line = CleanLine(raw);
-    if (line.empty()) continue;
-    switch (section) {
-      case Section::kTopLevel:
-        if (line == "[" || line == "]") break;  // trajectory array brackets
-        if (line == "{") {
-          record = BenchRecord();
-          saw_schema = saw_wall = saw_rss = false;
-          section = Section::kScalars;
-          break;
-        }
-        return Status::ParseError("unexpected bench line: " + line);
-      case Section::kScalars: {
-        if (line == "}") {
-          if (!saw_schema) {
-            return Status::ParseError("bench record without schema tag");
-          }
-          if (!saw_wall || !saw_rss) {
-            return Status::ParseError(
-                "bench record missing wall_seconds/peak_rss_bytes");
-          }
-          records.push_back(std::move(record));
-          section = Section::kTopLevel;
-          break;
-        }
-        if (line == "\"phases\": [") {
-          section = Section::kPhases;
-          break;
-        }
-        if (line == "\"counters\": [") {
-          section = Section::kCounters;
-          break;
-        }
-        if (line == "\"runs\": [") {
-          section = Section::kRuns;
-          break;
-        }
-        if (LineHasKey(line, "schema")) {
-          auto schema = JsonExtractString(line, "schema");
-          if (!schema.ok()) return schema.status();
-          if (schema.value() != "isum-bench-v1") {
-            return Status::ParseError("unsupported bench schema: " +
-                                      schema.value());
-          }
-          saw_schema = true;
-        } else if (LineHasKey(line, "label")) {
-          auto v = JsonExtractString(line, "label");
-          if (!v.ok()) return v.status();
-          record.label = v.value();
-        } else if (LineHasKey(line, "bench")) {
-          auto v = JsonExtractString(line, "bench");
-          if (!v.ok()) return v.status();
-          record.bench = v.value();
-        } else if (LineHasKey(line, "git_rev")) {
-          auto v = JsonExtractString(line, "git_rev");
-          if (!v.ok()) return v.status();
-          record.git_rev = v.value();
-        } else if (LineHasKey(line, "wall_seconds")) {
-          auto v = JsonExtractNumber(line, "wall_seconds");
-          if (!v.ok()) return v.status();
-          record.wall_seconds = v.value();
-          saw_wall = true;
-        } else if (LineHasKey(line, "peak_rss_bytes")) {
-          auto v = JsonExtractNumber(line, "peak_rss_bytes");
-          if (!v.ok()) return v.status();
-          record.peak_rss_bytes = static_cast<uint64_t>(v.value());
-          saw_rss = true;
-        } else {
-          return Status::ParseError("unknown bench scalar line: " + line);
-        }
-        break;
-      }
-      case Section::kPhases: {
-        if (line == "]") {
-          section = Section::kScalars;
-          break;
-        }
-        PhaseStat phase;
-        auto name = JsonExtractString(line, "name");
-        if (!name.ok()) return name.status();
-        phase.name = name.value();
-        auto count = JsonExtractNumber(line, "count");
-        if (!count.ok()) return count.status();
-        phase.count = static_cast<uint64_t>(count.value());
-        auto total = JsonExtractNumber(line, "total_us");
-        if (!total.ok()) return total.status();
-        phase.total_us = total.value();
-        auto max = JsonExtractNumber(line, "max_us");
-        if (!max.ok()) return max.status();
-        phase.max_us = max.value();
-        record.phases.push_back(std::move(phase));
-        break;
-      }
-      case Section::kCounters: {
-        if (line == "]") {
-          section = Section::kScalars;
-          break;
-        }
-        auto name = JsonExtractString(line, "name");
-        if (!name.ok()) return name.status();
-        auto value = JsonExtractNumber(line, "value");
-        if (!value.ok()) return value.status();
-        record.counters.emplace_back(name.value(), value.value());
-        break;
-      }
-      case Section::kRuns: {
-        if (line == "]") {
-          section = Section::kScalars;
-          break;
-        }
-        auto name = JsonExtractString(line, "name");
-        if (!name.ok()) return name.status();
-        record.run_names.push_back(name.value());
-        break;
-      }
-    }
-  }
-  if (section != Section::kTopLevel) {
-    return Status::ParseError("unterminated bench record");
+  for (const JsonValue& object : objects) {
+    ISUM_ASSIGN_OR_RETURN(BenchRecord record, ReadBenchRecord(object));
+    records.push_back(std::move(record));
   }
   if (records.empty()) {
     return Status::ParseError("no bench records found");
@@ -489,221 +413,73 @@ Status CheckBenchRss(const std::vector<BenchRecord>& records,
 // ---- sampling profiles ----
 
 StatusOr<ProfileRecord> ParseProfileJson(const std::string& content) {
-  // Line state machine matching obs::ProfileJson's layout, the same
-  // discipline as ParseBenchJson: `{`, one scalar per line, then the
-  // phases/frames/alloc_phases sections, then `}`.
-  enum class Section { kTopLevel, kScalars, kPhases, kFrames, kAllocPhases };
-  Section section = Section::kTopLevel;
-
+  ISUM_ASSIGN_OR_RETURN(const JsonValue doc, ParseJson(content));
   ProfileRecord record;
-  bool saw_record = false;
-  bool saw_schema = false;
-  bool saw_samples = false;
-  bool saw_attributed = false;
-
-  std::istringstream in(content);
-  std::string raw;
-  while (std::getline(in, raw)) {
-    const std::string line = CleanLine(raw);
-    if (line.empty()) continue;
-    switch (section) {
-      case Section::kTopLevel:
-        if (line == "{") {
-          if (saw_record) {
-            return Status::ParseError(
-                "multiple profile records in one file");
-          }
-          section = Section::kScalars;
-          break;
-        }
-        return Status::ParseError("unexpected profile line: " + line);
-      case Section::kScalars: {
-        if (line == "}") {
-          if (!saw_schema) {
-            return Status::ParseError("profile record without schema tag");
-          }
-          if (!saw_samples || !saw_attributed) {
-            return Status::ParseError(
-                "profile record missing samples/attributed_samples");
-          }
-          saw_record = true;
-          section = Section::kTopLevel;
-          break;
-        }
-        if (line == "\"phases\": [") {
-          section = Section::kPhases;
-          break;
-        }
-        if (line == "\"frames\": [") {
-          section = Section::kFrames;
-          break;
-        }
-        if (line == "\"alloc_phases\": [") {
-          section = Section::kAllocPhases;
-          break;
-        }
-        auto scalar_string = [&](const char* key,
-                                 std::string* out) -> StatusOr<bool> {
-          if (!LineHasKey(line, key)) return false;
-          auto v = JsonExtractString(line, key);
-          if (!v.ok()) return v.status();
-          *out = v.value();
-          return true;
-        };
-        auto scalar_number = [&](const char* key,
-                                 double* out) -> StatusOr<bool> {
-          if (!LineHasKey(line, key)) return false;
-          auto v = JsonExtractNumber(line, key);
-          if (!v.ok()) return v.status();
-          *out = v.value();
-          return true;
-        };
-        if (LineHasKey(line, "schema")) {
-          auto schema = JsonExtractString(line, "schema");
-          if (!schema.ok()) return schema.status();
-          if (schema.value() != "isum-profile-v1") {
-            return Status::ParseError("unsupported profile schema: " +
-                                      schema.value());
-          }
-          saw_schema = true;
-          break;
-        }
-        double number = 0.0;
-        StatusOr<bool> handled = scalar_string("label", &record.label);
-        if (!handled.ok()) return handled.status();
-        if (handled.value()) break;
-        handled = scalar_string("bench", &record.bench);
-        if (!handled.ok()) return handled.status();
-        if (handled.value()) break;
-        handled = scalar_string("git_rev", &record.git_rev);
-        if (!handled.ok()) return handled.status();
-        if (handled.value()) break;
-        if (LineHasKey(line, "sample_hz")) {
-          handled = scalar_number("sample_hz", &number);
-          if (!handled.ok()) return handled.status();
-          record.sample_hz = static_cast<int>(number);
-          break;
-        }
-        handled = scalar_number("wall_seconds", &record.wall_seconds);
-        if (!handled.ok()) return handled.status();
-        if (handled.value()) break;
-        if (LineHasKey(line, "samples")) {
-          handled = scalar_number("samples", &number);
-          if (!handled.ok()) return handled.status();
-          record.samples = static_cast<uint64_t>(number);
-          saw_samples = true;
-          break;
-        }
-        if (LineHasKey(line, "dropped")) {
-          handled = scalar_number("dropped", &number);
-          if (!handled.ok()) return handled.status();
-          record.dropped = static_cast<uint64_t>(number);
-          break;
-        }
-        if (LineHasKey(line, "attributed_samples")) {
-          handled = scalar_number("attributed_samples", &number);
-          if (!handled.ok()) return handled.status();
-          record.attributed_samples = static_cast<uint64_t>(number);
-          saw_attributed = true;
-          break;
-        }
-        handled =
-            scalar_number("attributed_percent", &record.attributed_percent);
-        if (!handled.ok()) return handled.status();
-        if (handled.value()) break;
-        if (LineHasKey(line, "alloc_enabled")) {
-          handled = scalar_number("alloc_enabled", &number);
-          if (!handled.ok()) return handled.status();
-          record.alloc_enabled = number != 0.0;
-          break;
-        }
-        if (LineHasKey(line, "alloc_total_bytes")) {
-          handled = scalar_number("alloc_total_bytes", &number);
-          if (!handled.ok()) return handled.status();
-          record.alloc_total_bytes = static_cast<uint64_t>(number);
-          break;
-        }
-        if (LineHasKey(line, "alloc_total_count")) {
-          handled = scalar_number("alloc_total_count", &number);
-          if (!handled.ok()) return handled.status();
-          record.alloc_total_count = static_cast<uint64_t>(number);
-          break;
-        }
-        if (LineHasKey(line, "alloc_live_bytes")) {
-          handled = scalar_number("alloc_live_bytes", &number);
-          if (!handled.ok()) return handled.status();
-          record.alloc_live_bytes = static_cast<int64_t>(number);
-          break;
-        }
-        if (LineHasKey(line, "alloc_peak_bytes")) {
-          handled = scalar_number("alloc_peak_bytes", &number);
-          if (!handled.ok()) return handled.status();
-          record.alloc_peak_bytes = static_cast<uint64_t>(number);
-          break;
-        }
-        return Status::ParseError("unknown profile scalar line: " + line);
-      }
-      case Section::kPhases: {
-        if (line == "]") {
-          section = Section::kScalars;
-          break;
-        }
-        ProfilePhaseStat phase;
-        auto name = JsonExtractString(line, "name");
-        if (!name.ok()) return name.status();
-        phase.name = name.value();
-        auto samples = JsonExtractNumber(line, "samples");
-        if (!samples.ok()) return samples.status();
-        phase.samples = static_cast<uint64_t>(samples.value());
-        auto percent = JsonExtractNumber(line, "percent");
-        if (!percent.ok()) return percent.status();
-        phase.percent = percent.value();
-        record.phases.push_back(std::move(phase));
-        break;
-      }
-      case Section::kFrames: {
-        if (line == "]") {
-          section = Section::kScalars;
-          break;
-        }
-        ProfileFrameStat frame;
-        auto name = JsonExtractString(line, "name");
-        if (!name.ok()) return name.status();
-        frame.name = name.value();
-        auto self = JsonExtractNumber(line, "self");
-        if (!self.ok()) return self.status();
-        frame.self = static_cast<uint64_t>(self.value());
-        auto total = JsonExtractNumber(line, "total");
-        if (!total.ok()) return total.status();
-        frame.total = static_cast<uint64_t>(total.value());
-        record.frames.push_back(std::move(frame));
-        break;
-      }
-      case Section::kAllocPhases: {
-        if (line == "]") {
-          section = Section::kScalars;
-          break;
-        }
-        ProfileAllocStat alloc;
-        auto name = JsonExtractString(line, "name");
-        if (!name.ok()) return name.status();
-        alloc.name = name.value();
-        auto bytes = JsonExtractNumber(line, "bytes");
-        if (!bytes.ok()) return bytes.status();
-        alloc.bytes = static_cast<uint64_t>(bytes.value());
-        auto count = JsonExtractNumber(line, "count");
-        if (!count.ok()) return count.status();
-        alloc.count = static_cast<uint64_t>(count.value());
-        record.alloc_phases.push_back(std::move(alloc));
-        break;
-      }
-    }
+  double sample_hz = 0.0;
+  double samples = 0.0;
+  double dropped = 0.0;
+  double attributed_samples = 0.0;
+  double alloc_enabled = 0.0;
+  double alloc_total_bytes = 0.0;
+  double alloc_total_count = 0.0;
+  double alloc_live_bytes = 0.0;
+  double alloc_peak_bytes = 0.0;
+  ISUM_RETURN_IF_ERROR(ReadRecord(
+      doc, "profile", "isum-profile-v1",
+      {{"label", &record.label},
+       {"bench", &record.bench},
+       {"git_rev", &record.git_rev}},
+      {{"sample_hz", &sample_hz},
+       {"wall_seconds", &record.wall_seconds},
+       {"samples", &samples},
+       {"dropped", &dropped},
+       {"attributed_samples", &attributed_samples},
+       {"attributed_percent", &record.attributed_percent},
+       {"alloc_enabled", &alloc_enabled},
+       {"alloc_total_bytes", &alloc_total_bytes},
+       {"alloc_total_count", &alloc_total_count},
+       {"alloc_live_bytes", &alloc_live_bytes},
+       {"alloc_peak_bytes", &alloc_peak_bytes}},
+      {"phases", "frames", "alloc_phases"}));
+  if (doc.Find("samples") == nullptr ||
+      doc.Find("attributed_samples") == nullptr) {
+    return Status::ParseError(
+        "profile record missing samples/attributed_samples");
   }
-  if (section != Section::kTopLevel) {
-    return Status::ParseError("unterminated profile record");
+  record.sample_hz = SaturatingCast<int>(sample_hz);
+  record.samples = SaturatingCast<uint64_t>(samples);
+  record.dropped = SaturatingCast<uint64_t>(dropped);
+  record.attributed_samples = SaturatingCast<uint64_t>(attributed_samples);
+  record.alloc_enabled = alloc_enabled != 0.0;
+  record.alloc_total_bytes = SaturatingCast<uint64_t>(alloc_total_bytes);
+  record.alloc_total_count = SaturatingCast<uint64_t>(alloc_total_count);
+  record.alloc_live_bytes = SaturatingCast<int64_t>(alloc_live_bytes);
+  record.alloc_peak_bytes = SaturatingCast<uint64_t>(alloc_peak_bytes);
+  for (const JsonValue& item : Items(doc, "phases")) {
+    ProfilePhaseStat phase;
+    ISUM_ASSIGN_OR_RETURN(phase.name, item.String("name"));
+    ISUM_ASSIGN_OR_RETURN(const double count, item.Number("samples"));
+    phase.samples = SaturatingCast<uint64_t>(count);
+    ISUM_ASSIGN_OR_RETURN(phase.percent, item.Number("percent"));
+    record.phases.push_back(std::move(phase));
   }
-  if (!saw_record) {
-    return Status::ParseError("no profile record found");
+  for (const JsonValue& item : Items(doc, "frames")) {
+    ProfileFrameStat frame;
+    ISUM_ASSIGN_OR_RETURN(frame.name, item.String("name"));
+    ISUM_ASSIGN_OR_RETURN(const double self, item.Number("self"));
+    frame.self = SaturatingCast<uint64_t>(self);
+    ISUM_ASSIGN_OR_RETURN(const double total, item.Number("total"));
+    frame.total = SaturatingCast<uint64_t>(total);
+    record.frames.push_back(std::move(frame));
+  }
+  for (const JsonValue& item : Items(doc, "alloc_phases")) {
+    ProfileAllocStat alloc;
+    ISUM_ASSIGN_OR_RETURN(alloc.name, item.String("name"));
+    ISUM_ASSIGN_OR_RETURN(const double bytes, item.Number("bytes"));
+    alloc.bytes = SaturatingCast<uint64_t>(bytes);
+    ISUM_ASSIGN_OR_RETURN(const double count, item.Number("count"));
+    alloc.count = SaturatingCast<uint64_t>(count);
+    record.alloc_phases.push_back(std::move(alloc));
   }
   return record;
 }
@@ -905,38 +681,27 @@ std::string ProfileDiff(const ProfileRecord& from, const ProfileRecord& to,
 // ---- decision-provenance journal ----
 
 StatusOr<double> JournalEvent::Number(const std::string& key) const {
-  return JsonExtractNumber(line, key);
+  return fields.Number(key);
 }
 
 StatusOr<std::string> JournalEvent::String(const std::string& key) const {
-  return JsonExtractString(line, key);
+  return fields.String(key);
 }
 
 bool JournalEvent::Has(const std::string& key) const {
-  return JsonHasKey(line, key);
+  return fields.Find(key) != nullptr;
 }
 
 StatusOr<std::vector<JournalEvent>> ParseJournal(const std::string& content) {
   std::vector<JournalEvent> events;
-  std::istringstream in(content);
-  std::string raw;
-  while (std::getline(in, raw)) {
-    const std::string line = CleanLine(raw);
-    if (line.empty()) continue;
-    if (line.front() != '{') {
-      return Status::ParseError("unexpected journal line: " + line);
-    }
+  for (const std::string& line : Split(content, '\n')) {
+    if (Trim(line).empty()) continue;
     JournalEvent e;
-    auto event = JsonExtractString(line, "event");
-    if (!event.ok()) return event.status();
-    e.event = event.value();
-    auto seq = JsonExtractNumber(line, "seq");
-    if (!seq.ok()) return seq.status();
-    e.seq = static_cast<uint64_t>(seq.value());
-    auto t = JsonExtractNumber(line, "t_us");
-    if (!t.ok()) return t.status();
-    e.t_us = t.value();
-    e.line = line;
+    ISUM_ASSIGN_OR_RETURN(e.fields, ParseJson(line));
+    ISUM_ASSIGN_OR_RETURN(e.event, e.fields.String("event"));
+    ISUM_ASSIGN_OR_RETURN(const double seq, e.fields.Number("seq"));
+    e.seq = SaturatingCast<uint64_t>(seq);
+    ISUM_ASSIGN_OR_RETURN(e.t_us, e.fields.Number("t_us"));
     events.push_back(std::move(e));
   }
   if (events.empty()) return Status::ParseError("empty journal");
@@ -1049,21 +814,21 @@ StatusOr<size_t> CheckJournal(const std::vector<JournalEvent>& events) {
       }
       auto round = e.Number("round");
       if (!round.ok()) return round.status();
-      if (static_cast<size_t>(round.value()) != order.size()) {
+      if (SaturatingCast<size_t>(round.value()) != order.size()) {
         return Status::ParseError(StrFormat(
             "non-contiguous selection rounds: expected %zu, got %.0f",
             order.size(), round.value()));
       }
       auto query = e.Number("query");
       if (!query.ok()) return query.status();
-      order.push_back(static_cast<size_t>(query.value()));
+      order.push_back(SaturatingCast<size_t>(query.value()));
     } else if (e.event == "compress_end") {
       if (!in_compress) {
         return Status::ParseError("compress_end without compress_begin");
       }
       auto selected = e.Number("selected");
       if (!selected.ok()) return selected.status();
-      if (static_cast<size_t>(selected.value()) != order.size()) {
+      if (SaturatingCast<size_t>(selected.value()) != order.size()) {
         return Status::ParseError(StrFormat(
             "compress_end claims %.0f selections but block has %zu",
             selected.value(), order.size()));
@@ -1128,12 +893,12 @@ StatusOr<std::string> ExplainJournal(const std::vector<JournalEvent>& events,
       auto algorithm = e.String("algorithm");
       if (algorithm.ok()) open_block->algorithm = algorithm.value();
       auto n = e.Number("n");
-      if (n.ok()) open_block->n = static_cast<uint64_t>(n.value());
+      if (n.ok()) open_block->n = SaturatingCast<uint64_t>(n.value());
       auto k = e.Number("k");
-      if (k.ok()) open_block->k = static_cast<uint64_t>(k.value());
+      if (k.ok()) open_block->k = SaturatingCast<uint64_t>(k.value());
       auto threads = e.Number("threads");
       if (threads.ok()) {
-        open_block->threads = static_cast<uint64_t>(threads.value());
+        open_block->threads = SaturatingCast<uint64_t>(threads.value());
       }
     } else if (e.event == "select") {
       if (open_block == nullptr) {
@@ -1142,12 +907,12 @@ StatusOr<std::string> ExplainJournal(const std::vector<JournalEvent>& events,
       auto query = e.Number("query");
       if (!query.ok()) return query.status();
       open_block->selects.push_back(&e);
-      open_block->order.push_back(static_cast<size_t>(query.value()));
+      open_block->order.push_back(SaturatingCast<size_t>(query.value()));
     } else if (e.event == "feature_reset") {
       if (open_block != nullptr) {
         auto selected = e.Number("selected");
         open_block->reset_rounds.push_back(
-            selected.ok() ? static_cast<uint64_t>(selected.value()) : 0);
+            selected.ok() ? SaturatingCast<uint64_t>(selected.value()) : 0);
       }
     } else if (e.event == "compress_end") {
       if (open_block == nullptr) {

@@ -5,14 +5,15 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "common/status.h"
 
 namespace isum::tracecat {
 
 /// tracecat: pretty-printer for the traces and metric snapshots the bench
-/// drivers emit (--trace= / --metrics=, src/obs/export.h). The parser
-/// handles exactly the line-per-event shape those exporters write — it is a
-/// diagnosis tool for this repo's files, not a general JSON reader.
+/// drivers emit (--trace= / --metrics=, src/obs/export.h). Every JSON input
+/// goes through common/json.h, so any valid layout of these formats parses;
+/// only the JSONL formats (metrics, journal) are read line by line.
 
 /// One parsed Chrome-trace event (complete spans and thread_name metadata).
 struct TraceEvent {
@@ -78,8 +79,9 @@ struct BenchRecord {
 
 /// Parses isum-bench-v1 content: either a single record as the emitter
 /// writes it, or a trajectory file (a JSON array concatenating such records,
-/// e.g. BENCH_scalability.json). Errors on anything schema-invalid: wrong or
-/// missing schema tag, missing required scalars, unterminated records.
+/// e.g. BENCH_scalability.json). Errors on invalid JSON and on anything
+/// schema-invalid: wrong or missing schema tag, missing required scalars,
+/// unknown or mistyped keys.
 StatusOr<std::vector<BenchRecord>> ParseBenchJson(const std::string& content);
 
 /// One line per phase (union of both records, `from`'s order first):
@@ -141,9 +143,9 @@ struct ProfileRecord {
   std::vector<ProfileAllocStat> alloc_phases;
 };
 
-/// Parses one isum-profile-v1 record. Errors on anything schema-invalid:
-/// wrong or missing schema tag, missing required scalars, unknown scalar
-/// lines, unterminated records.
+/// Parses one isum-profile-v1 record. Errors on invalid JSON and on anything
+/// schema-invalid: wrong or missing schema tag, missing required scalars,
+/// unknown or mistyped keys.
 StatusOr<ProfileRecord> ParseProfileJson(const std::string& content);
 
 /// Renders the profile report: header (samples, rate, attribution), the
@@ -166,14 +168,13 @@ std::string ProfileDiff(const ProfileRecord& from, const ProfileRecord& to,
 /// ---- decision-provenance journal (isum-events-v1, src/obs/journal.h) ----
 
 /// One parsed journal line. The envelope fields every event carries are
-/// lifted out; event-specific fields stay in `line` and are extracted on
-/// demand via Number()/String() (the journal writes flat one-line objects,
-/// so the JSONL helpers reach every field).
+/// lifted out; event-specific fields stay in `fields` and are looked up on
+/// demand via Number()/String()/Has().
 struct JournalEvent {
   std::string event;  ///< e.g. "select", "compress_end"
   uint64_t seq = 0;
   double t_us = 0.0;
-  std::string line;  ///< the cleaned full line
+  JsonValue fields;  ///< the whole parsed line
 
   StatusOr<double> Number(const std::string& key) const;
   StatusOr<std::string> String(const std::string& key) const;
