@@ -116,7 +116,6 @@ struct ObsFlags {
   uint64_t checkpoint_every = 16;
   uint64_t trace_every = 1;
   double time_budget_seconds = 0.0;
-  int serve_metrics_port = -1;  ///< -1 = no listener
   int profile_hz = 100;
   bool profile_alloc = false;
   bool allow_truncated = false;
@@ -139,9 +138,6 @@ struct ObsFlags {
         flags.bench_label = arg + 14;
       } else if (std::strncmp(arg, "--journal=", 10) == 0) {
         flags.journal_path = arg + 10;
-      } else if (std::strncmp(arg, "--serve-metrics=", 16) == 0) {
-        flags.serve_metrics_port =
-            static_cast<int>(std::strtol(arg + 16, nullptr, 10));
       } else if (std::strncmp(arg, "--metrics-snapshot=", 19) == 0) {
         flags.metrics_snapshot_path = arg + 19;
       } else if (std::strncmp(arg, "--profile=", 10) == 0) {
@@ -220,15 +216,10 @@ struct ObsFlags {
 ///                      (isum-events-v1 JSONL, src/obs/journal.h); closed
 ///                      with `journal_end` at exit. `tracecat explain`
 ///                      reconstructs the run from it
-///   --serve-metrics=<p> serve live registry snapshots over HTTP on
-///                      127.0.0.1:<p> while the run executes (GET /metrics
-///                      = Prometheus text, GET /healthz); 0 picks an
-///                      ephemeral port (printed to stderr). Poll it with
-///                      `tracecat watch --url=...`
 ///   --metrics-snapshot=<path> rewrite a Prometheus-text snapshot file once
-///                      per second (and finally at exit) — the air-gapped
-///                      companion of --serve-metrics for CI artifacts and
-///                      `tracecat watch <path>`
+///                      per second (and finally at exit), replaced by
+///                      rename so a reader never sees a partial file. Poll
+///                      it with `tracecat watch <path>`
 ///   --profile=<path>   run the sampling CPU profiler (obs/profiler.h) for
 ///                      the whole run; written as an isum-profile-v1 record
 ///                      plus a flamegraph.pl-ready <path>.collapsed file.
@@ -240,7 +231,8 @@ struct ObsFlags {
 ///                      (with --profile; needs a -DISUM_OBS_PROFILING=ON
 ///                      build, otherwise ignored with a warning)
 ///
-/// Files are written from the destructor, after the driver's work joined.
+/// Files are written from the destructor, after the driver's work joined,
+/// each through WriteFileAtomic: a file is either complete or absent.
 class ObsScope {
  public:
   ObsScope(int& argc, char** argv) {
@@ -290,10 +282,8 @@ class ObsScope {
         std::exit(2);
       }
     }
-    if (flags_.serve_metrics_port >= 0 ||
-        !flags_.metrics_snapshot_path.empty()) {
+    if (!flags_.metrics_snapshot_path.empty()) {
       obs::MetricsExporterOptions exporter_options;
-      exporter_options.http_port = flags_.serve_metrics_port;
       exporter_options.snapshot_path = flags_.metrics_snapshot_path;
       exporter_ = std::make_unique<obs::MetricsExporter>(
           &obs::MetricsRegistry::Global(), std::move(exporter_options));
@@ -302,10 +292,6 @@ class ObsScope {
         std::fprintf(stderr, "metrics exporter: %s\n",
                      status.ToString().c_str());
         std::exit(2);
-      }
-      if (flags_.serve_metrics_port >= 0) {
-        std::fprintf(stderr, "serving metrics on http://127.0.0.1:%d/metrics\n",
-                     exporter_->port());
       }
     }
     if (!flags_.profile_path.empty()) {
@@ -356,13 +342,13 @@ class ObsScope {
       dump = obs::Tracer::Global().Drain();
     }
     if (!flags_.trace_path.empty()) {
-      Report(obs::WriteFile(flags_.trace_path, obs::ChromeTraceJson(dump)),
+      Report(WriteFileAtomic(flags_.trace_path, obs::ChromeTraceJson(dump)),
              flags_.trace_path, dump.spans.size(), "spans");
     }
     if (!flags_.metrics_path.empty()) {
       const obs::MetricsSnapshot snapshot =
           obs::MetricsRegistry::Global().Snapshot();
-      Report(obs::WriteFile(flags_.metrics_path, obs::MetricsJsonl(snapshot)),
+      Report(WriteFileAtomic(flags_.metrics_path, obs::MetricsJsonl(snapshot)),
              flags_.metrics_path,
              snapshot.counters.size() + snapshot.gauges.size() +
                  snapshot.histograms.size(),
@@ -370,7 +356,7 @@ class ObsScope {
     }
     if (!flags_.bench_json_path.empty()) {
       const std::string record = RenderBenchJson(dump, wall_seconds);
-      Report(obs::WriteFile(flags_.bench_json_path, record),
+      Report(WriteFileAtomic(flags_.bench_json_path, record),
              flags_.bench_json_path, BenchJson::Global().runs().size(),
              "bench runs");
     }
@@ -380,11 +366,11 @@ class ObsScope {
       meta.bench = flags_.bench_name;
       meta.git_rev = ISUM_GIT_REV;
       meta.wall_seconds = wall_seconds;
-      Report(obs::WriteFile(flags_.profile_path,
-                            obs::ProfileJson(profile, meta)),
+      Report(WriteFileAtomic(flags_.profile_path,
+                             obs::ProfileJson(profile, meta)),
              flags_.profile_path, profile.samples, "profile samples");
       const std::string collapsed_path = flags_.profile_path + ".collapsed";
-      Report(obs::WriteFile(collapsed_path, obs::CollapsedStacks(profile)),
+      Report(WriteFileAtomic(collapsed_path, obs::CollapsedStacks(profile)),
              collapsed_path, profile.stacks.size(), "collapsed stacks");
     }
   }

@@ -1,7 +1,6 @@
 #include "obs/export.h"
 
 #include <algorithm>
-#include <fstream>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -323,19 +322,6 @@ std::string ProfileJson(const ProfileDump& dump, const ProfileMeta& meta) {
   out += "]\n";
   out += "}\n";
   return out;
-}
-
-Status WriteFile(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out.is_open()) {
-    return Status::InvalidArgument("cannot open for writing: " + path);
-  }
-  out << content;
-  out.flush();
-  if (!out.good()) {
-    return Status::Internal("write failed: " + path);
-  }
-  return Status::OK();
 }
 
 }  // namespace isum::obs

@@ -3,7 +3,6 @@
 
 #include <string>
 
-#include "common/status.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
@@ -39,8 +38,8 @@ std::string MetricsJsonl(const MetricsSnapshot& snapshot);
 /// counters and gauges as `isum_<name> <value>` samples, histograms as
 /// summaries (quantile-labelled samples plus _sum/_count). Metric names are
 /// sanitized (`.` and other non-identifier bytes become `_`) and prefixed
-/// `isum_`. Served by MetricsExporter (obs/exporter.h) and written as
-/// air-gapped snapshot files; parsed back by tracecat watch.
+/// `isum_`. Written as snapshot files by MetricsExporter (obs/exporter.h);
+/// parsed back by tracecat watch.
 std::string PrometheusText(const MetricsSnapshot& snapshot);
 
 /// Run metadata stamped into an isum-profile-v1 record, mirroring the
@@ -65,9 +64,6 @@ std::string CollapsedStacks(const ProfileDump& dump);
 /// frames by self/total samples, and the allocation hot-list. Read back by
 /// `tracecat profile`; schema documented in docs/OBSERVABILITY.md.
 std::string ProfileJson(const ProfileDump& dump, const ProfileMeta& meta);
-
-/// Writes `content` to `path` (helper shared by the bench drivers).
-Status WriteFile(const std::string& path, const std::string& content);
 
 }  // namespace isum::obs
 

@@ -1,25 +1,19 @@
 // Tests for src/obs/exporter.h: the live telemetry exporter (Prometheus
-// text over a minimal 127.0.0.1 HTTP listener + periodic snapshot files)
-// and the MetricsRegistry snapshot/delta semantics it publishes. Suite
+// text in a periodically, atomically replaced snapshot file) and the
+// MetricsRegistry snapshot/delta semantics it publishes. Suite
 // names start with `Exporter` so the TSan CI job picks the concurrency
 // tests up via its --gtest_filter.
 
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <chrono>
+#include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
-
-#if defined(__unix__) || defined(__APPLE__)
-#define ISUM_TEST_HAVE_SOCKETS 1
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-#endif
 
 #include "common/deadline.h"
 #include "obs/export.h"
@@ -49,38 +43,6 @@ double SampleValue(const std::vector<tracecat::PromSample>& samples,
   ADD_FAILURE() << "sample not found: " << name << " {" << labels << "}";
   return 0.0;
 }
-
-#ifdef ISUM_TEST_HAVE_SOCKETS
-/// One-shot HTTP GET against 127.0.0.1:`port`; returns the raw response.
-bool HttpGet(int port, const char* path, std::string* response) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return false;
-  sockaddr_in addr = {};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return false;
-  }
-  const std::string request = std::string("GET ") + path +
-                              " HTTP/1.1\r\nHost: 127.0.0.1\r\n"
-                              "Connection: close\r\n\r\n";
-  if (::write(fd, request.data(), request.size()) !=
-      static_cast<ssize_t>(request.size())) {
-    ::close(fd);
-    return false;
-  }
-  response->clear();
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::read(fd, buf, sizeof(buf))) > 0) {
-    response->append(buf, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  return !response->empty();
-}
-#endif
 
 TEST(ExporterSnapshot, WritesFileAndRoundTripsThroughTracecat) {
   MetricsRegistry registry;
@@ -124,50 +86,61 @@ TEST(ExporterGolden, PrometheusTextShapeIsStable) {
             "isum_budget_remaining_seconds -1\n");
 }
 
-#ifdef ISUM_TEST_HAVE_SOCKETS
-TEST(ExporterHttp, ServesMetricsAndHealthz) {
+TEST(ExporterSnapshot, ConcurrentReaderSeesOnlyCompleteSnapshots) {
+  // 40 counters + 40 histograms (5 samples each) + the 4 gauges every tick
+  // publishes: a snapshot of a few KB, rewritten every millisecond while a
+  // reader polls it the way `tracecat watch <file>` does. Every read that
+  // finds the file must see one whole snapshot.
   MetricsRegistry registry;
-  registry.GetCounter("advisor.tuning_runs")->Add(7);
+  for (int i = 0; i < 40; ++i) {
+    registry.GetCounter("concurrent.counter_" + std::to_string(i))->Add(i);
+    registry.GetHistogram("concurrent.histogram_" + std::to_string(i))
+        ->Observe(1000 + i);
+  }
+  constexpr size_t kSamples = 40 + 40 * 5 + 4;
 
+  const std::string path = TempPath("exporter_concurrent.prom");
+  std::remove(path.c_str());
+  std::remove((path + ".tmp").c_str());
   MetricsExporterOptions options;
-  options.http_port = 0;  // ephemeral
+  options.snapshot_path = path;
+  options.period_nanos = 1'000'000;  // 1ms
   MetricsExporter exporter(&registry, options);
   ASSERT_TRUE(exporter.Start().ok());
-  ASSERT_GT(exporter.port(), 0);
 
-  std::string response;
-  ASSERT_TRUE(HttpGet(exporter.port(), "/metrics", &response));
-  EXPECT_EQ(response.compare(0, 15, "HTTP/1.1 200 OK"), 0) << response;
-  const size_t body_at = response.find("\r\n\r\n");
-  ASSERT_NE(body_at, std::string::npos);
-  auto samples = tracecat::ParsePrometheusText(response.substr(body_at + 4));
-  ASSERT_TRUE(samples.ok()) << samples.status().ToString();
-  EXPECT_EQ(SampleValue(samples.value(), "isum_advisor_tuning_runs"), 7.0);
-
-  ASSERT_TRUE(HttpGet(exporter.port(), "/healthz", &response));
-  EXPECT_NE(response.find("ok"), std::string::npos);
-
-  ASSERT_TRUE(HttpGet(exporter.port(), "/nope", &response));
-  EXPECT_EQ(response.compare(0, 12, "HTTP/1.1 404"), 0) << response;
-
-  EXPECT_GE(exporter.requests_served(), 3u);
+  uint64_t reads = 0;
+  uint64_t bad_reads = 0;
+  std::string first_bad;
+  std::thread reader([&] {
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(500);
+    while (std::chrono::steady_clock::now() < until) {
+      std::ifstream in(path, std::ios::binary);
+      if (!in.is_open()) continue;  // before the first snapshot
+      std::ostringstream buffer;
+      buffer << in.rdbuf();
+      ++reads;
+      auto samples = tracecat::ParsePrometheusText(buffer.str());
+      std::string problem;
+      if (!samples.ok()) {
+        problem = samples.status().ToString();
+      } else if (samples.value().size() != kSamples) {
+        problem = std::to_string(samples.value().size()) + " samples";
+      }
+      if (!problem.empty() && bad_reads++ == 0) first_bad = problem;
+    }
+  });
+  reader.join();
   exporter.Stop();
-}
 
-TEST(ExporterHttp, StartFailsCleanlyOnBusyPort) {
-  MetricsRegistry registry;
-  MetricsExporterOptions options;
-  options.http_port = 0;
-  MetricsExporter first(&registry, options);
-  ASSERT_TRUE(first.Start().ok());
-
-  MetricsExporterOptions busy;
-  busy.http_port = first.port();
-  MetricsExporter second(&registry, busy);
-  EXPECT_FALSE(second.Start().ok());
-  first.Stop();
+  EXPECT_GT(reads, 0u);
+  EXPECT_EQ(bad_reads, 0u) << "of " << reads << " reads; first: "
+                           << first_bad;
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  auto final_samples = tracecat::ParsePrometheusText(ReadAll(path));
+  ASSERT_TRUE(final_samples.ok()) << final_samples.status().ToString();
+  EXPECT_EQ(final_samples.value().size(), kSamples);
 }
-#endif
 
 TEST(ExporterBudget, ExpiredAmbientBudgetStopsTheWorker) {
   // Once the ambient budget expires, the worker writes one final snapshot

@@ -27,7 +27,7 @@ namespace {
 uint64_t SpinUntilSamples(uint64_t min_samples) {
   volatile uint64_t sink = 0;
   for (int outer = 0; outer < 20000; ++outer) {
-    for (uint64_t i = 0; i < 200000; ++i) sink += i * i;
+    for (uint64_t i = 0; i < 200000; ++i) sink = sink + i * i;
     if (Profiler::Global().samples_captured() >= min_samples) break;
   }
   return sink;
@@ -65,10 +65,12 @@ TEST(ProfilerSession, TinyBufferCountsDroppedSamples) {
   SpinUntilSamples(16);
   // Burn a little more CPU so samples arrive after the buffer filled.
   volatile uint64_t sink = 0;
-  for (uint64_t i = 0; i < 40000000; ++i) sink += i;
+  for (uint64_t i = 0; i < 40000000; ++i) sink = sink + i;
   const ProfileDump dump = Profiler::Global().Stop();
   EXPECT_LE(dump.samples, 16u);
-  if (dump.samples == 16u) EXPECT_GT(dump.dropped, 0u);
+  if (dump.samples == 16u) {
+    EXPECT_GT(dump.dropped, 0u);
+  }
 }
 
 TEST(ProfilerAttribution, SamplesInsideSpanCarryItsPhase) {
