@@ -5,15 +5,17 @@
 // table/figure). Not part of the library API.
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
-
-#include <cstdlib>
 
 #include "baselines/gsum.h"
 #include "baselines/kmedoid.h"
@@ -101,7 +103,9 @@ inline uint64_t PeakRssBytes() { return obs::ProcessPeakRssBytes(); }
 /// ObsScope so the argv handling is directly testable
 /// (tests/bench_util_test.cc): Parse() consumes every flag it recognizes
 /// and compacts argv/argc around them, leaving unknown arguments for the
-/// driver's own parser in their original order.
+/// driver's own parser in their original order. A malformed numeric value
+/// is a usage error: Parse prints it and exits 2, as a bad --faults= spec
+/// does.
 struct ObsFlags {
   std::string bench_name = "bench";  ///< BaseName(argv[0])
   std::string trace_path;
@@ -113,7 +117,6 @@ struct ObsFlags {
   std::string faults_spec;
   std::string profile_path;
   std::string checkpoint_path;
-  uint64_t checkpoint_every = 16;
   uint64_t trace_every = 1;
   double time_budget_seconds = 0.0;
   int profile_hz = 100;
@@ -129,7 +132,7 @@ struct ObsFlags {
       if (std::strncmp(arg, "--trace=", 8) == 0) {
         flags.trace_path = arg + 8;
       } else if (std::strncmp(arg, "--trace-every=", 14) == 0) {
-        flags.trace_every = std::strtoull(arg + 14, nullptr, 10);
+        flags.trace_every = NumberOrExit<uint64_t>("--trace-every=", arg + 14);
       } else if (std::strncmp(arg, "--metrics=", 10) == 0) {
         flags.metrics_path = arg + 10;
       } else if (std::strncmp(arg, "--bench-json=", 13) == 0) {
@@ -143,17 +146,17 @@ struct ObsFlags {
       } else if (std::strncmp(arg, "--profile=", 10) == 0) {
         flags.profile_path = arg + 10;
       } else if (std::strncmp(arg, "--profile-hz=", 13) == 0) {
-        flags.profile_hz = static_cast<int>(std::strtol(arg + 13, nullptr, 10));
+        flags.profile_hz = NumberOrExit<int>("--profile-hz=", arg + 13);
       } else if (std::strncmp(arg, "--profile-alloc=", 16) == 0) {
-        flags.profile_alloc = std::strtol(arg + 16, nullptr, 10) != 0;
+        flags.profile_alloc =
+            NumberOrExit<int>("--profile-alloc=", arg + 16) != 0;
       } else if (std::strncmp(arg, "--faults=", 9) == 0) {
         flags.faults_spec = arg + 9;
       } else if (std::strncmp(arg, "--time-budget=", 14) == 0) {
-        flags.time_budget_seconds = std::strtod(arg + 14, nullptr);
+        flags.time_budget_seconds =
+            NumberOrExit<double>("--time-budget=", arg + 14);
       } else if (std::strncmp(arg, "--checkpoint=", 13) == 0) {
         flags.checkpoint_path = arg + 13;
-      } else if (std::strncmp(arg, "--checkpoint-every=", 19) == 0) {
-        flags.checkpoint_every = std::strtoull(arg + 19, nullptr, 10);
       } else if (std::strcmp(arg, "--allow-truncated") == 0) {
         flags.allow_truncated = true;
       } else {
@@ -162,6 +165,22 @@ struct ObsFlags {
     }
     argc = kept;
     return flags;
+  }
+
+  /// All of `text` as a finite, non-negative T. Anything else (empty,
+  /// non-numeric, trailing bytes, a sign, out of range) exits 2.
+  template <typename T>
+  static T NumberOrExit(const char* flag, const char* text) {
+    const char* end = text + std::strlen(text);
+    T value{};
+    const std::from_chars_result result = std::from_chars(text, end, value);
+    if (result.ec != std::errc() || result.ptr != end ||
+        !(value >= T{0} && value <= std::numeric_limits<T>::max())) {
+      std::fprintf(stderr, "bad %s%s: expected a non-negative number\n", flag,
+                   text);
+      std::exit(2);
+    }
+    return value;
   }
 
   static std::string BaseName(const char* argv0) {
@@ -180,7 +199,9 @@ struct ObsFlags {
 ///     ...
 ///
 /// Recognized flags (consumed from argv so downstream parsers — including
-/// google-benchmark's — never see them):
+/// google-benchmark's — never see them). A numeric value must be a plain
+/// non-negative number ("5", "2.5"); "5m", "abc", "-1" or an empty value
+/// exits 2:
 ///   --trace=<path>     record spans for the whole run; written as Chrome
 ///                      trace JSON (open in Perfetto / chrome://tracing)
 ///   --trace-every=<N>  sample: record every Nth top-level span tree per
@@ -196,11 +217,11 @@ struct ObsFlags {
 ///                      (common/checkpoint.h): index-tuning enumeration
 ///                      writes crash-atomic `isum-ckpt-v1` epochs under
 ///                      <path> and resumes from the newest valid one at
-///                      startup; compression is not checkpointed — it
-///                      reruns in about a second (docs/ROBUSTNESS.md).
-///                      Inspect with `tracecat ckpt`
-///   --checkpoint-every=<N> write an epoch every N completed rounds (with
-///                      --checkpoint; default 16)
+///                      startup. An epoch, written after every completed
+///                      round and at the end, holds the winners and
+///                      per-query costs, not the what-if memo. Compression
+///                      is not checkpointed — it reruns in about a second
+///                      (docs/ROBUSTNESS.md). Inspect with `tracecat ckpt`
 ///   --allow-truncated  exit 0 even when a stage stopped early (deadline,
 ///                      cancellation, faults). Without it any abnormal stop
 ///                      makes the driver exit 3 so CI can tell a truncated
@@ -262,8 +283,6 @@ class ObsScope {
     if (!flags_.checkpoint_path.empty()) {
       CheckpointConfig ckpt;
       ckpt.path = flags_.checkpoint_path;
-      ckpt.every_rounds =
-          flags_.checkpoint_every == 0 ? 1 : flags_.checkpoint_every;
       InstallAmbientCheckpoint(ckpt);
     }
     obs::Tracer::Global().SetSampleEvery(flags_.trace_every);

@@ -130,7 +130,7 @@ TuningResult DtaStyleAdvisor::Tune(const std::vector<WeightedQuery>& queries,
   // --- Greedy enumeration. ---
   EnumerationResult enumerated = GreedyEnumerate(
       what_if, queries, pool, options.max_indexes, storage_budget, catalog,
-      budget, options.num_threads, options.checkpoint);
+      budget, options.num_threads);
 
   result.configuration = std::move(enumerated.configuration);
   result.configurations_explored += enumerated.configurations_explored;

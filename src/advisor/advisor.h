@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "advisor/candidate_generation.h"
-#include "common/checkpoint.h"
 #include "common/deadline.h"
 #include "engine/what_if.h"
 
@@ -46,11 +45,6 @@ struct TuningOptions {
   /// cutoff lands on whatever work finished first.
   int num_threads = 1;
   CandidateGenOptions candidate_options;
-  /// Crash-safe checkpoint/resume for the enumeration phase (the dominant
-  /// cost of a tuning run). Disabled when path is empty; falls back to the
-  /// ambient config installed by bench drivers via --checkpoint=
-  /// (common/checkpoint.h, docs/ROBUSTNESS.md).
-  CheckpointConfig checkpoint;
 };
 
 /// Outcome of one tuning run, with the call accounting the scalability

@@ -4,8 +4,8 @@
 #include <cstring>
 #include <limits>
 #include <memory>
-#include <unordered_map>
 
+#include "common/checkpoint.h"
 #include "common/fault.h"
 #include "common/hash.h"
 #include "common/thread_pool.h"
@@ -58,19 +58,20 @@ CandidateEvaluation EvaluateCandidate(
 ///            initial_cost bits, total_cost bits
 ///   winners  pool indices of the added indexes, in round order
 ///   costs    per-query current cost under the checkpointed configuration
-///   cache    memoized what-if answers (query id, config hash, cost)
 ///
 /// Restore replays the winner sequence instead of serializing the
 /// Configuration object: pool indices plus the bit-exact per-query costs
 /// fully determine the derived state, and the replay is O(rounds). The
-/// stored initial cost must match the resumed run's freshly computed one
-/// bit-for-bit before anything is applied — that proves the cost model,
-/// stats and workload are the ones the checkpoint came from, so seeding the
-/// what-if cache from it cannot poison the resumed run.
+/// what-if memo is not stored: it only caches answers the optimizer gives
+/// again, so continued rounds re-cost through a cold memo, and a snapshot
+/// is the same bytes at any thread count. The stored initial cost must
+/// match the resumed run's freshly computed one bit-for-bit before anything
+/// is applied — that proves the cost model, stats and workload are the
+/// ones the checkpoint came from. Unknown sections (the memo section older
+/// builds wrote as id 4) are ignored.
 constexpr uint32_t kEnumMetaSection = 1;
 constexpr uint32_t kEnumWinnersSection = 2;
 constexpr uint32_t kEnumCostsSection = 3;
-constexpr uint32_t kEnumCacheSection = 4;
 
 uint64_t DoubleBits(double value) {
   uint64_t bits = 0;
@@ -88,10 +89,9 @@ double DoubleFromBits(uint64_t bits) {
 /// candidate pool (by canonical index definition, order-sensitive) and the
 /// search constraints. Thread count is deliberately excluded — enumeration
 /// is bit-identical across thread counts, so a checkpoint written at one
-/// concurrency resumes at another. The tag names the what-if cache key the
-/// snapshot's cache section was written under ("enum-projected": the
-/// configuration projected onto each query's tables); a snapshot under any
-/// other key is foreign and the run starts fresh.
+/// concurrency resumes at another. The tag names the snapshot layout, not
+/// the what-if memo key, which no snapshot depends on; a snapshot under any
+/// other tag is foreign and the run starts fresh.
 uint64_t EnumerationFingerprint(const std::vector<WeightedQuery>& queries,
                                 const std::vector<engine::Index>& pool,
                                 int max_indexes,
@@ -119,7 +119,6 @@ struct EnumSnapshot {
   uint64_t total_cost_bits = 0;
   std::vector<uint64_t> winners;
   std::vector<double> costs;
-  std::vector<engine::WhatIfOptimizer::CacheEntry> cache;
 };
 
 void EncodeEnumSnapshot(const EnumSnapshot& snapshot,
@@ -137,14 +136,6 @@ void EncodeEnumSnapshot(const EnumSnapshot& snapshot,
   writer->EndSection();
   writer->BeginSection(kEnumCostsSection);
   writer->AppendF64Vector(snapshot.costs);
-  writer->EndSection();
-  writer->BeginSection(kEnumCacheSection);
-  writer->AppendU64(snapshot.cache.size());
-  for (const engine::WhatIfOptimizer::CacheEntry& entry : snapshot.cache) {
-    writer->AppendU64(entry.query_id);
-    writer->AppendU64(entry.config_hash);
-    writer->AppendF64(entry.cost);
-  }
   writer->EndSection();
 }
 
@@ -177,21 +168,6 @@ StatusOr<EnumSnapshot> LoadEnumSnapshot(CheckpointStore& store,
   StatusOr<CheckpointCursor> costs = reader->Section(kEnumCostsSection);
   if (!costs.ok()) return costs.status();
   ISUM_ASSIGN_OR_RETURN(snapshot.costs, costs->ReadF64Vector());
-  StatusOr<CheckpointCursor> cache = reader->Section(kEnumCacheSection);
-  if (!cache.ok()) return cache.status();
-  uint64_t cache_count = 0;
-  ISUM_ASSIGN_OR_RETURN(cache_count, cache->ReadU64());
-  if (cache_count > cache->remaining() / 24) {
-    return Status::ParseError("checkpoint cache overruns section");
-  }
-  snapshot.cache.reserve(cache_count);
-  for (uint64_t i = 0; i < cache_count; ++i) {
-    engine::WhatIfOptimizer::CacheEntry entry;
-    ISUM_ASSIGN_OR_RETURN(entry.query_id, cache->ReadU64());
-    ISUM_ASSIGN_OR_RETURN(entry.config_hash, cache->ReadU64());
-    ISUM_ASSIGN_OR_RETURN(entry.cost, cache->ReadF64());
-    snapshot.cache.push_back(entry);
-  }
   return snapshot;
 }
 
@@ -202,8 +178,7 @@ EnumerationResult GreedyEnumerate(
     const std::vector<WeightedQuery>& queries,
     const std::vector<engine::Index>& pool, int max_indexes,
     uint64_t storage_budget_bytes, const catalog::Catalog& catalog,
-    const TimeBudget& budget, int num_threads,
-    const CheckpointConfig& ckpt) {
+    const TimeBudget& budget, int num_threads) {
   ISUM_TRACE_SPAN_VAR(span, "advisor/enumerate");
   span.Arg("pool", static_cast<uint64_t>(pool.size()))
       .Arg("max_indexes", max_indexes)
@@ -259,13 +234,10 @@ EnumerationResult GreedyEnumerate(
 
   // Checkpoint/resume (header comment and docs/ROBUSTNESS.md): the restore
   // runs only after the fresh initial costing above, so the stored initial
-  // cost can be validated bit-for-bit before the checkpoint seeds anything.
-  const CheckpointConfig ckpt_config = EffectiveCheckpoint(ckpt);
+  // cost can be validated bit-for-bit before anything is applied.
+  const CheckpointConfig ckpt_config = AmbientCheckpoint();
   std::unique_ptr<CheckpointStore> ckpt_store;
   std::vector<size_t> winner_ids;  // pool indices in add order
-  uint64_t ckpt_written_rounds = 0;
-  const uint64_t ckpt_every =
-      ckpt_config.every_rounds == 0 ? 1 : ckpt_config.every_rounds;
   bool restored_done = false;
   if (ckpt_config.enabled()) {
     const uint64_t fingerprint = EnumerationFingerprint(
@@ -287,13 +259,6 @@ EnumerationResult GreedyEnumerate(
         replayed[w] = true;
       }
       if (winners_valid) {
-        // Seed the memo cache first so continued rounds reuse the killed
-        // run's optimizer work (pre-validated above: a stale or foreign
-        // checkpoint never reaches this point).
-        std::vector<const sql::BoundQuery*> query_ptrs;
-        query_ptrs.reserve(queries.size());
-        for (const WeightedQuery& wq : queries) query_ptrs.push_back(wq.query);
-        what_if.ImportCache(snapshot->cache, query_ptrs);
         for (const uint64_t w : snapshot->winners) {
           const size_t i = static_cast<size_t>(w);
           used[i] = true;
@@ -306,20 +271,11 @@ EnumerationResult GreedyEnumerate(
         current_cost = std::move(snapshot->costs);
         total_cost = DoubleFromBits(snapshot->total_cost_bits);
         restored_done = snapshot->done != 0;
-        ckpt_written_rounds = winner_ids.size();
         obs::Journal::Global().CkptRestore(
             "enum", ckpt_store->loaded_epoch(), winner_ids.size(),
             obs::SelectionOrderHash(winner_ids.data(), winner_ids.size()),
             restored_done ? 1 : 0);
       }
-    }
-  }
-  // Query-pointer → stable-id map for cache export on checkpoint writes.
-  std::unordered_map<const void*, uint64_t> query_ids;
-  if (ckpt_store != nullptr) {
-    query_ids.reserve(queries.size());
-    for (size_t i = 0; i < queries.size(); ++i) {
-      query_ids.emplace(queries[i].query, static_cast<uint64_t>(i));
     }
   }
   // Best-effort epoch write: a failed write is counted
@@ -335,12 +291,10 @@ EnumerationResult GreedyEnumerate(
     snapshot.total_cost_bits = DoubleBits(total_cost);
     snapshot.winners.assign(winner_ids.begin(), winner_ids.end());
     snapshot.costs = current_cost;
-    snapshot.cache = what_if.ExportCache(query_ids);
     CheckpointWriter writer;
     EncodeEnumSnapshot(snapshot, &writer);
     const uint64_t epoch = ckpt_store->next_epoch();
     if (!ckpt_store->WriteEpoch(writer).ok()) return;
-    ckpt_written_rounds = winner_ids.size();
     obs::Journal::Global().CkptWrite("enum", epoch, winner_ids.size(),
                                      ckpt_store->last_write_bytes());
   };
@@ -455,9 +409,7 @@ EnumerationResult GreedyEnumerate(
     total_cost -= best_improvement;
     if (ckpt_store != nullptr) {
       winner_ids.push_back(best_i);
-      if (winner_ids.size() >= ckpt_written_rounds + ckpt_every) {
-        write_checkpoint(/*done=*/false);
-      }
+      write_checkpoint(/*done=*/false);
     }
   }
 

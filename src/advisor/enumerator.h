@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "advisor/advisor.h"
-#include "common/checkpoint.h"
 #include "common/deadline.h"
 
 namespace isum::advisor {
@@ -36,21 +35,22 @@ struct EnumerationResult {
 /// deterministically; on cancellation the in-flight batch is drained before
 /// returning).
 ///
-/// `ckpt` enables crash-safe checkpoint/resume (docs/ROBUSTNESS.md): after
-/// initial costing, the newest valid epoch under `<path>.enum` whose
-/// fingerprint (queries, weights, pool, constraints) and bit-exact initial
-/// cost match is restored — the winner sequence is replayed, per-query
-/// current costs and the what-if memo cache are reinstated — and
-/// enumeration continues from the checkpointed round; epochs are written
-/// every `ckpt.every_rounds` rounds and at termination. A resumed run adds
-/// the same indexes at the same costs as an uninterrupted one.
+/// The ambient checkpoint config (common/checkpoint.h, installed by
+/// --checkpoint=) enables crash-safe checkpoint/resume
+/// (docs/ROBUSTNESS.md): after initial costing, the newest valid epoch
+/// under `<path>.enum` whose fingerprint (queries, weights, pool,
+/// constraints) and bit-exact initial cost match is restored — the winner
+/// sequence is replayed and the per-query current costs reinstated — and
+/// enumeration continues from the checkpointed round through a cold what-if
+/// memo. Epochs are written after every completed round and at
+/// termination. A resumed run adds the same indexes at the same costs as an
+/// uninterrupted one.
 EnumerationResult GreedyEnumerate(
     engine::WhatIfOptimizer& what_if,
     const std::vector<WeightedQuery>& queries,
     const std::vector<engine::Index>& pool, int max_indexes,
     uint64_t storage_budget_bytes, const catalog::Catalog& catalog,
-    const TimeBudget& budget = {}, int num_threads = 1,
-    const CheckpointConfig& ckpt = {});
+    const TimeBudget& budget = {}, int num_threads = 1);
 
 }  // namespace isum::advisor
 

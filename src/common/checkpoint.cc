@@ -158,16 +158,6 @@ void CheckpointWriter::AppendF64(double value) {
   AppendU64(bits);
 }
 
-void CheckpointWriter::AppendBytes(const void* data, size_t len) {
-  ISUM_CHECK_MSG(in_section_, "append outside a section");
-  sections_.back().payload.append(static_cast<const char*>(data), len);
-}
-
-void CheckpointWriter::AppendString(std::string_view s) {
-  AppendU64(s.size());
-  AppendBytes(s.data(), s.size());
-}
-
 void CheckpointWriter::AppendU64Vector(const std::vector<uint64_t>& values) {
   AppendU64(values.size());
   for (const uint64_t v : values) AppendU64(v);
@@ -212,21 +202,6 @@ StatusOr<uint64_t> CheckpointCursor::ReadU64() {
   const uint64_t v = GetU64(payload_.data() + pos_);
   pos_ += 8;
   return v;
-}
-
-StatusOr<double> CheckpointCursor::ReadF64() {
-  ISUM_ASSIGN_OR_RETURN(const uint64_t bits, ReadU64());
-  double v = 0.0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-StatusOr<std::string> CheckpointCursor::ReadString() {
-  ISUM_ASSIGN_OR_RETURN(const uint64_t len, ReadU64());
-  ISUM_RETURN_IF_ERROR(Need(len));
-  std::string s(payload_.substr(pos_, len));
-  pos_ += len;
-  return s;
 }
 
 StatusOr<std::vector<uint64_t>> CheckpointCursor::ReadU64Vector() {
@@ -477,11 +452,6 @@ void InstallAmbientCheckpoint(const CheckpointConfig& config) {
 CheckpointConfig AmbientCheckpoint() {
   MutexLock lock(g_ambient_ckpt_mu);
   return g_ambient_ckpt;
-}
-
-CheckpointConfig EffectiveCheckpoint(const CheckpointConfig& local) {
-  if (local.enabled()) return local;
-  return AmbientCheckpoint();
 }
 
 }  // namespace isum

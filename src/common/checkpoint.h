@@ -55,9 +55,6 @@ class CheckpointWriter {
   void AppendU64(uint64_t value);
   /// Raw IEEE-754 bits: restores bit-identically, including -0.0 and NaNs.
   void AppendF64(double value);
-  void AppendBytes(const void* data, size_t len);
-  /// u64 length prefix + bytes.
-  void AppendString(std::string_view s);
   /// u64 count prefix + elements.
   void AppendU64Vector(const std::vector<uint64_t>& values);
   void AppendF64Vector(const std::vector<double>& values);
@@ -85,8 +82,6 @@ class CheckpointCursor {
   explicit CheckpointCursor(std::string_view payload) : payload_(payload) {}
 
   StatusOr<uint64_t> ReadU64();
-  StatusOr<double> ReadF64();
-  StatusOr<std::string> ReadString();
   StatusOr<std::vector<uint64_t>> ReadU64Vector();
   StatusOr<std::vector<double>> ReadF64Vector();
 
@@ -173,14 +168,12 @@ class CheckpointStore {
 /// ---- Ambient (process-wide) checkpoint configuration ----
 ///
 /// Mirrors the ambient TimeBudget (common/deadline.h): bench drivers
-/// install --checkpoint=/--checkpoint-every= once; library entry points
-/// that were not handed an explicit config fall back to it.
+/// install --checkpoint= once, and GreedyEnumerate reads it. This is the
+/// only way to turn checkpointing on.
 
 struct CheckpointConfig {
   /// Base path for checkpoint files; empty disables checkpointing.
   std::string path;
-  /// Write an epoch every N completed rounds (>= 1).
-  uint64_t every_rounds = 16;
 
   bool enabled() const { return !path.empty(); }
 };
@@ -190,9 +183,6 @@ void InstallAmbientCheckpoint(const CheckpointConfig& config);
 
 /// The currently installed ambient config (disabled if none).
 CheckpointConfig AmbientCheckpoint();
-
-/// `local` when enabled, otherwise the ambient config.
-CheckpointConfig EffectiveCheckpoint(const CheckpointConfig& local);
 
 }  // namespace isum
 

@@ -112,30 +112,4 @@ StatusOr<double> WhatIfOptimizer::TryCost(const sql::BoundQuery& query,
   return cost;
 }
 
-std::vector<WhatIfOptimizer::CacheEntry> WhatIfOptimizer::ExportCache(
-    const std::unordered_map<const void*, uint64_t>& query_ids) {
-  std::vector<CacheEntry> out;
-  for (Shard& shard : shards_) {
-    MutexLock lock(shard.mutex);
-    for (const auto& [key, cost] : shard.cache) {
-      const auto it = query_ids.find(key.query);
-      if (it == query_ids.end()) continue;
-      out.push_back(CacheEntry{it->second, key.config_hash, cost});
-    }
-  }
-  return out;
-}
-
-void WhatIfOptimizer::ImportCache(
-    const std::vector<CacheEntry>& entries,
-    const std::vector<const sql::BoundQuery*>& queries) {
-  for (const CacheEntry& entry : entries) {
-    if (entry.query_id >= queries.size()) continue;
-    const Key key{queries[entry.query_id], entry.config_hash};
-    Shard& shard = shards_[KeyHash()(key) % kShards];
-    MutexLock lock(shard.mutex);
-    shard.cache.emplace(key, entry.cost);
-  }
-}
-
 }  // namespace isum::engine

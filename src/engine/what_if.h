@@ -4,7 +4,6 @@
 #include <array>
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
 #include "common/deadline.h"
 #include "common/mutex.h"
@@ -40,6 +39,9 @@ struct RetryPolicy {
 ///
 /// Cache keys use query object identity: a BoundQuery must stay at a stable
 /// address while a WhatIfOptimizer refers to it (Workload guarantees this).
+/// The memo holds only answers the optimizer can produce again, so it is
+/// never persisted: enumeration checkpoints store winners and costs, and a
+/// resumed run re-costs through a cold memo (docs/ROBUSTNESS.md).
 ///
 /// Thread-safe: Cost() may be called concurrently (the advisor evaluates
 /// candidate configurations in parallel). The cache is sharded 16 ways so
@@ -118,33 +120,6 @@ class WhatIfOptimizer {
   /// Replaces the retry policy. Not thread-safe against in-flight calls;
   /// set it before handing the optimizer to workers.
   void set_retry_policy(const RetryPolicy& policy) { retry_policy_ = policy; }
-
-  /// One memoized what-if answer in checkpoint form: the query is named by
-  /// a caller-stable id (its position in the enumeration's query vector)
-  /// instead of the in-process pointer the live cache keys on.
-  /// `config_hash` is the configuration hash projected onto the query's
-  /// tables (Configuration::StableHashOn).
-  struct CacheEntry {
-    uint64_t query_id = 0;
-    uint64_t config_hash = 0;
-    double cost = 0.0;
-  };
-
-  /// Snapshots the memo cache for checkpointing. `query_ids` maps a
-  /// BoundQuery address to its stable id; entries for queries outside the
-  /// map (e.g. from another tuning phase) are skipped. Entry order is
-  /// unspecified. Safe to call concurrently with Cost().
-  std::vector<CacheEntry> ExportCache(
-      const std::unordered_map<const void*, uint64_t>& query_ids);
-
-  /// Seeds the memo cache from a checkpoint: `entries[i].query_id` indexes
-  /// into `queries`, which must hold the same logical queries (in the same
-  /// order) the exporting run used. Out-of-range ids are ignored. Restored
-  /// costs are served as ordinary cache hits, so a resumed enumeration
-  /// repeats no optimizer work for configurations the killed run already
-  /// costed.
-  void ImportCache(const std::vector<CacheEntry>& entries,
-                   const std::vector<const sql::BoundQuery*>& queries);
 
  private:
   struct Key {

@@ -107,6 +107,40 @@ TEST(BenchObsFlags, FlagPrefixesDoNotSwallowLookalikes) {
             (std::vector<std::string>{"bench", "--tracer=x"}));
 }
 
+TEST(BenchObsFlags, MalformedNumbersExitWithUsageError) {
+  // Each value once parsed to something else without a word: "5m" as 5 s,
+  // "abc" as no budget, "-1" as UINT64_MAX.
+  const std::vector<std::string> bad_args = {
+      "--time-budget=",     "--time-budget=abc", "--time-budget=5m",
+      "--time-budget=-1",   "--time-budget=nan", "--time-budget=inf",
+      "--trace-every=",     "--trace-every=-1",  "--trace-every=x",
+      "--trace-every=4 ",   "--profile-hz=",     "--profile-hz=-100",
+      "--profile-hz=1e3",   "--profile-alloc=",  "--profile-alloc=yes",
+      "--profile-alloc=-1",
+  };
+  for (const std::string& arg : bad_args) {
+    const std::string flag = arg.substr(0, arg.find('=') + 1);
+    EXPECT_EXIT(
+        {
+          ArgvFixture args({"bench", arg});
+          ObsFlags::Parse(args.argc(), args.argv());
+        },
+        ::testing::ExitedWithCode(2), "bad " + flag)
+        << arg;
+  }
+}
+
+TEST(BenchObsFlags, WellFormedNumbersParse) {
+  ArgvFixture args({"bench", "--time-budget=0", "--trace-every=0",
+                    "--profile-hz=1", "--profile-alloc=0"});
+  const ObsFlags flags = ObsFlags::Parse(args.argc(), args.argv());
+  EXPECT_EQ(flags.time_budget_seconds, 0.0);
+  EXPECT_EQ(flags.trace_every, 0u);
+  EXPECT_EQ(flags.profile_hz, 1);
+  EXPECT_FALSE(flags.profile_alloc);
+  EXPECT_EQ(args.Remaining(), std::vector<std::string>{"bench"});
+}
+
 TEST(BenchObsFlags, BaseNameHandlesPlainAndNestedPaths) {
   EXPECT_EQ(ObsFlags::BaseName("bench_fig2"), "bench_fig2");
   EXPECT_EQ(ObsFlags::BaseName("./build/bench/bench_fig2"), "bench_fig2");

@@ -1,19 +1,21 @@
 // Tests for crash-safe checkpoint/resume (docs/ROBUSTNESS.md): the
 // isum-ckpt-v1 container format, epoch rotation and fallback, the
-// enumeration snapshot, what-if cache export/import, the `after`
+// enumeration snapshot and its rejection of hostile payloads, the `after`
 // fault-spec field, and the chaos sweep proper — kill enumeration at every
 // round boundary and assert the resumed output is bit-identical to an
 // uninterrupted one.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <limits>
+#include <map>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -23,7 +25,6 @@
 #include "common/checkpoint.h"
 #include "common/deadline.h"
 #include "common/fault.h"
-#include "common/hash.h"
 #include "engine/what_if.h"
 #include "tools/tracecat/tracecat.h"
 #include "workload/workload_factory.h"
@@ -53,8 +54,9 @@ std::string FreshCkptBase(const std::string& name) {
   return (dir / name).string();
 }
 
-/// The newest epoch file of lineage `<base><suffix>` (epoch numbers sort
-/// lexically within one lineage), or an empty path if none was written.
+/// The newest epoch file of lineage `<base><suffix>`, or an empty path if
+/// none was written. Names differ only in the unpadded epoch number, so a
+/// longer name is a later epoch.
 std::filesystem::path NewestEpoch(const std::string& base,
                                   const std::string& suffix) {
   const std::filesystem::path dir =
@@ -64,8 +66,10 @@ std::filesystem::path NewestEpoch(const std::string& base,
   std::filesystem::path newest;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     const std::string file = entry.path().filename().string();
+    const std::string best = newest.filename().string();
     if (file.rfind(prefix, 0) == 0 &&
-        (newest.empty() || file > newest.filename().string())) {
+        (newest.empty() || file.size() > best.size() ||
+         (file.size() == best.size() && file > best))) {
       newest = entry.path();
     }
   }
@@ -79,12 +83,9 @@ TEST(CheckpointFormatTest, RoundTripPreservesEveryBit) {
   writer.BeginSection(7);
   writer.AppendU64(0);
   writer.AppendU64(~0ull);
-  writer.AppendF64(-0.0);
-  writer.AppendF64(std::numeric_limits<double>::quiet_NaN());
-  writer.AppendF64(5e-324);  // smallest denormal
-  writer.AppendString(std::string_view("a\0b", 3));
   writer.AppendU64Vector({1, 2, 3});
-  writer.AppendF64Vector({0.1, -1e308});
+  writer.AppendF64Vector({-0.0, std::numeric_limits<double>::quiet_NaN(),
+                          5e-324 /* smallest denormal */, 0.1, -1e308});
   writer.EndSection();
   writer.BeginSection(9);
   writer.AppendU64(42);
@@ -102,16 +103,14 @@ TEST(CheckpointFormatTest, RoundTripPreservesEveryBit) {
   ASSERT_TRUE(cursor.ok());
   EXPECT_EQ(cursor->ReadU64().value(), 0u);
   EXPECT_EQ(cursor->ReadU64().value(), ~0ull);
-  EXPECT_EQ(Bits(cursor->ReadF64().value()), Bits(-0.0));
-  EXPECT_EQ(Bits(cursor->ReadF64().value()),
-            Bits(std::numeric_limits<double>::quiet_NaN()));
-  EXPECT_EQ(Bits(cursor->ReadF64().value()), Bits(5e-324));
-  EXPECT_EQ(cursor->ReadString().value(), std::string("a\0b", 3));
   EXPECT_EQ(cursor->ReadU64Vector().value(), (std::vector<uint64_t>{1, 2, 3}));
   const std::vector<double> doubles = cursor->ReadF64Vector().value();
-  ASSERT_EQ(doubles.size(), 2u);
-  EXPECT_EQ(Bits(doubles[0]), Bits(0.1));
-  EXPECT_EQ(Bits(doubles[1]), Bits(-1e308));
+  ASSERT_EQ(doubles.size(), 5u);
+  EXPECT_EQ(Bits(doubles[0]), Bits(-0.0));
+  EXPECT_EQ(Bits(doubles[1]), Bits(std::numeric_limits<double>::quiet_NaN()));
+  EXPECT_EQ(Bits(doubles[2]), Bits(5e-324));
+  EXPECT_EQ(Bits(doubles[3]), Bits(0.1));
+  EXPECT_EQ(Bits(doubles[4]), Bits(-1e308));
   EXPECT_TRUE(cursor->AtEnd());
   // Reading past the end is an error, not UB.
   EXPECT_FALSE(cursor->ReadU64().ok());
@@ -293,41 +292,6 @@ TEST_F(FaultAfterTest, NegativeAfterIsRejected) {
   EXPECT_FALSE(FaultInjector::Armed());
 }
 
-// --- What-if cache export/import ---
-
-TEST(WhatIfCacheCheckpointTest, ExportImportServesIdenticalCosts) {
-  workload::GeneratorOptions gen;
-  gen.instances_per_template = 1;
-  std::optional<workload::GeneratedWorkload> env = workload::MakeTpch(gen);
-  const size_t n = std::min<size_t>(env->workload->size(), 6);
-  ASSERT_GT(n, 0u);
-
-  engine::WhatIfOptimizer source(env->cost_model.get());
-  std::vector<const sql::BoundQuery*> queries;
-  std::unordered_map<const void*, uint64_t> query_ids;
-  std::vector<double> costs;
-  for (size_t i = 0; i < n; ++i) {
-    const sql::BoundQuery* q = &env->workload->query(i).bound;
-    queries.push_back(q);
-    query_ids.emplace(q, static_cast<uint64_t>(i));
-    costs.push_back(source.Cost(*q, engine::Configuration()));
-  }
-  std::vector<engine::WhatIfOptimizer::CacheEntry> entries =
-      source.ExportCache(query_ids);
-  EXPECT_EQ(entries.size(), n);
-  // Out-of-range ids in a (hand-damaged) checkpoint are skipped, not UB.
-  entries.push_back({/*query_id=*/999, /*config_hash=*/7, /*cost=*/1.0});
-
-  engine::WhatIfOptimizer seeded(env->cost_model.get());
-  seeded.ImportCache(entries, queries);
-  for (size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(Bits(seeded.Cost(*queries[i], engine::Configuration())),
-              Bits(costs[i]));
-  }
-  // Every answer came from the imported cache: zero optimizer work.
-  EXPECT_EQ(seeded.optimizer_calls(), 0u);
-}
-
 // --- Chaos sweep: kill at every round boundary, resume, compare ---
 
 class CheckpointResumeTest : public ::testing::Test {
@@ -350,6 +314,14 @@ class CheckpointResumeTest : public ::testing::Test {
     ASSERT_TRUE(FaultInjector::Global().Configure(spec).ok());
   }
 
+  /// Checkpoints every following enumeration under `path`, the way
+  /// --checkpoint= does; an empty path turns checkpointing off.
+  static void CheckpointTo(const std::string& path) {
+    CheckpointConfig ckpt;
+    ckpt.path = path;
+    InstallAmbientCheckpoint(ckpt);
+  }
+
   /// Every workload query at weight 1, the input the tuner tests share.
   std::vector<advisor::WeightedQuery> UnitQueries() const {
     std::vector<advisor::WeightedQuery> queries;
@@ -359,51 +331,106 @@ class CheckpointResumeTest : public ::testing::Test {
     return queries;
   }
 
+  /// Expects `got` to be the output of the uninterrupted run `want`: same
+  /// configuration, cost bits, configurations explored and stop reason.
+  template <typename Result>
+  static void ExpectSameOutput(const Result& got, const Result& want) {
+    EXPECT_EQ(got.stop_reason, want.stop_reason);
+    EXPECT_EQ(got.configuration.StableHash(), want.configuration.StableHash());
+    EXPECT_EQ(Bits(got.initial_cost), Bits(want.initial_cost));
+    EXPECT_EQ(Bits(got.final_cost), Bits(want.final_cost));
+    EXPECT_EQ(got.configurations_explored, want.configurations_explored);
+  }
+
   std::optional<workload::GeneratedWorkload> env_;
 };
 
 TEST_F(CheckpointResumeTest, EnumerationResumesBitIdentical) {
   const std::vector<advisor::WeightedQuery> queries = UnitQueries();
-  advisor::TuningOptions base;
-  base.max_indexes = 5;
   advisor::DtaStyleAdvisor advisor(env_->cost_model.get());
-  const advisor::TuningResult full = advisor.Tune(queries, base);
-  ASSERT_EQ(full.stop_reason, StopReason::kComplete);
-  ASSERT_GE(full.configuration.size(), 2u);
-  // Candidate selection is not checkpointed, so every resumed run repeats
-  // it; a run killed before the first enumeration round measures its calls.
+  for (const int threads : {1, 8}) {
+    advisor::TuningOptions options;
+    options.max_indexes = 5;
+    options.num_threads = threads;
+    const advisor::TuningResult full = advisor.Tune(queries, options);
+    ASSERT_EQ(full.stop_reason, StopReason::kComplete);
+    ASSERT_GE(full.configuration.size(), 2u);
+
+    for (size_t round = 1; round < full.configuration.size(); ++round) {
+      SCOPED_TRACE(::testing::Message()
+                   << threads << " thread(s), killed at round " << round);
+      CheckpointTo(FreshCkptBase("enum_kill_" + std::to_string(threads) +
+                                 "_" + std::to_string(round)));
+      KillAtRound("advisor.enumerate", round);
+      const advisor::TuningResult killed = advisor.Tune(queries, options);
+      EXPECT_EQ(killed.stop_reason, StopReason::kFault);
+      EXPECT_EQ(killed.configuration.size(), round);
+      FaultInjector::Global().Reset();
+
+      const advisor::TuningResult resumed = advisor.Tune(queries, options);
+      ExpectSameOutput(resumed, full);
+      // The restored rounds are not enumerated again. Snapshots hold no
+      // memo, so the rounds after the restore re-cost some configurations
+      // the killed run had already costed.
+      EXPECT_LT(resumed.optimizer_calls, full.optimizer_calls);
+    }
+    CheckpointTo("");
+  }
+}
+
+TEST_F(CheckpointResumeTest, DoneEpochRerunSkipsEnumeration) {
+  const std::vector<advisor::WeightedQuery> queries = UnitQueries();
+  advisor::TuningOptions options;
+  options.max_indexes = 5;
+  advisor::DtaStyleAdvisor advisor(env_->cost_model.get());
+  // Candidate selection and the initial costing are not checkpointed, so a
+  // rerun repeats them; a run killed before the first round measures them.
   KillAtRound("advisor.enumerate", 0);
-  const uint64_t selection_calls = advisor.Tune(queries, base).optimizer_calls;
+  const uint64_t setup_calls = advisor.Tune(queries, options).optimizer_calls;
   FaultInjector::Global().Reset();
 
-  for (size_t round = 1; round < full.configuration.size(); ++round) {
-    advisor::TuningOptions options = base;
-    options.checkpoint.path =
-        FreshCkptBase("enum_kill_" + std::to_string(round));
-    options.checkpoint.every_rounds = 1;
+  CheckpointTo(FreshCkptBase("done_rerun"));
+  const advisor::TuningResult full = advisor.Tune(queries, options);
+  ASSERT_EQ(full.stop_reason, StopReason::kComplete);
+  const advisor::TuningResult rerun = advisor.Tune(queries, options);
+  ExpectSameOutput(rerun, full);
+  EXPECT_EQ(rerun.optimizer_calls, setup_calls);
+}
 
-    KillAtRound("advisor.enumerate", round);
-    const advisor::TuningResult killed = advisor.Tune(queries, options);
-    EXPECT_EQ(killed.stop_reason, StopReason::kFault) << "round " << round;
-    EXPECT_EQ(killed.configuration.size(), round);
-    FaultInjector::Global().Reset();
-
-    const advisor::TuningResult resumed = advisor.Tune(queries, options);
-    EXPECT_EQ(resumed.stop_reason, StopReason::kComplete) << "round " << round;
-    EXPECT_EQ(resumed.configuration.StableHash(),
-              full.configuration.StableHash())
-        << "round " << round;
-    EXPECT_EQ(Bits(resumed.initial_cost), Bits(full.initial_cost));
-    EXPECT_EQ(Bits(resumed.final_cost), Bits(full.final_cost))
-        << "round " << round;
-    EXPECT_EQ(resumed.configurations_explored, full.configurations_explored)
-        << "round " << round;
-    // Zero repeated enumeration work: the restored memo answers every
-    // costing the killed run already made.
-    EXPECT_EQ(killed.optimizer_calls + resumed.optimizer_calls,
-              full.optimizer_calls + selection_calls)
-        << "round " << round;
+/// Every epoch file written under `base`, keyed by its name after `base`.
+std::map<std::string, std::string> EpochFiles(const std::string& base) {
+  const std::filesystem::path dir =
+      std::filesystem::path(base).parent_path();
+  const std::string prefix =
+      std::filesystem::path(base).filename().string() + ".";
+  std::map<std::string, std::string> out;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string file = entry.path().filename().string();
+    if (file.rfind(prefix, 0) == 0) {
+      out[file.substr(prefix.size())] =
+          ReadFileToString(entry.path().string()).value();
+    }
   }
+  return out;
+}
+
+TEST_F(CheckpointResumeTest, EpochFilesAreByteIdenticalAcrossRunsAndThreads) {
+  advisor::DtaStyleAdvisor advisor(env_->cost_model.get());
+  auto epochs_of = [&](const std::string& name, int threads) {
+    const std::string base = FreshCkptBase(name);
+    CheckpointTo(base);
+    advisor::TuningOptions options;
+    options.max_indexes = 5;
+    options.num_threads = threads;
+    EXPECT_EQ(advisor.Tune(UnitQueries(), options).stop_reason,
+              StopReason::kComplete);
+    return EpochFiles(base);
+  };
+  const std::map<std::string, std::string> first = epochs_of("bytes_a", 1);
+  ASSERT_FALSE(first.empty());
+  EXPECT_TRUE(first == epochs_of("bytes_b", 1)) << "rerun wrote other bytes";
+  EXPECT_TRUE(first == epochs_of("bytes_8t", 8))
+      << "8 threads wrote other bytes";
 }
 
 TEST_F(CheckpointResumeTest, CorruptEpochFallsBackAndStillMatches) {
@@ -417,15 +444,14 @@ TEST_F(CheckpointResumeTest, CorruptEpochFallsBackAndStillMatches) {
   const advisor::TuningResult full = advisor.Tune(queries, options);
   ASSERT_GT(full.configuration.size(), 3u);
 
-  options.checkpoint.path = FreshCkptBase("corrupt_fallback");
-  options.checkpoint.every_rounds = 1;
+  const std::string base = FreshCkptBase("corrupt_fallback");
+  CheckpointTo(base);
   KillAtRound("advisor.enumerate", 3);
   (void)advisor.Tune(queries, options);
   FaultInjector::Global().Reset();
 
   // Flip one byte in the newest .enum epoch file.
-  const std::filesystem::path newest =
-      NewestEpoch(options.checkpoint.path, ".enum");
+  const std::filesystem::path newest = NewestEpoch(base, ".enum");
   ASSERT_FALSE(newest.empty());
   std::string bytes = ReadFileToString(newest.string()).value();
   bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x01);
@@ -442,62 +468,42 @@ TEST_F(CheckpointResumeTest, CorruptEpochFallsBackAndStillMatches) {
   EXPECT_LT(resumed.optimizer_calls, full.optimizer_calls);
 }
 
-/// Fingerprint an enumeration snapshot had while the what-if memo keyed on
-/// the whole configuration: the same fields as today's, under the tag
-/// "enum".
-uint64_t WholeConfigKeyFingerprint(
-    const std::vector<advisor::WeightedQuery>& queries,
-    const std::vector<engine::Index>& pool, int max_indexes,
-    uint64_t storage_budget_bytes) {
-  uint64_t h = HashBytes("enum");
-  h = HashCombine(h, queries.size());
-  for (const advisor::WeightedQuery& wq : queries) {
-    h = HashCombine(h, Bits(wq.weight));
-  }
-  h = HashCombine(h, pool.size());
-  for (const engine::Index& index : pool) {
-    h = HashCombine(h, HashBytes(index.CanonicalKey()));
-  }
-  h = HashCombine(h, static_cast<uint64_t>(max_indexes));
-  h = HashCombine(h, storage_budget_bytes);
-  return h;
+/// An enumeration snapshot as its sections hold it: 1 meta (fingerprint,
+/// done, stop_reason, configurations_explored, initial_cost bits,
+/// total_cost bits), 2 winners, 3 costs.
+struct EnumImage {
+  std::vector<uint64_t> meta;
+  std::vector<uint64_t> winners;
+  std::vector<double> costs;
+};
+
+EnumImage DecodeEnumImage(const CheckpointReader& reader) {
+  EnumImage image;
+  CheckpointCursor meta = reader.Section(1).value();
+  for (int i = 0; i < 6; ++i) image.meta.push_back(meta.ReadU64().value());
+  image.winners = reader.Section(2)->ReadU64Vector().value();
+  image.costs = reader.Section(3)->ReadF64Vector().value();
+  return image;
 }
 
-/// Re-encodes an enumeration snapshot with its meta fingerprint replaced.
-/// Section layout: 1 meta (fingerprint + five u64), 2 winners, 3 costs,
-/// 4 cache (count, then query_id/config_hash/cost triples).
-CheckpointWriter RetagEnumSnapshot(const CheckpointReader& reader,
-                                   uint64_t fingerprint) {
+CheckpointWriter EncodeEnumImage(const EnumImage& image) {
   CheckpointWriter writer;
-  CheckpointCursor meta = reader.Section(1).value();
-  EXPECT_TRUE(meta.ReadU64().ok());  // the fingerprint being replaced
   writer.BeginSection(1);
-  writer.AppendU64(fingerprint);
-  for (int i = 0; i < 5; ++i) writer.AppendU64(meta.ReadU64().value());
+  for (const uint64_t value : image.meta) writer.AppendU64(value);
   writer.EndSection();
   writer.BeginSection(2);
-  writer.AppendU64Vector(reader.Section(2)->ReadU64Vector().value());
+  writer.AppendU64Vector(image.winners);
   writer.EndSection();
   writer.BeginSection(3);
-  writer.AppendF64Vector(reader.Section(3)->ReadF64Vector().value());
-  writer.EndSection();
-  CheckpointCursor cache = reader.Section(4).value();
-  const uint64_t count = cache.ReadU64().value();
-  writer.BeginSection(4);
-  writer.AppendU64(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    writer.AppendU64(cache.ReadU64().value());
-    writer.AppendU64(cache.ReadU64().value());
-    writer.AppendF64(cache.ReadF64().value());
-  }
+  writer.AppendF64Vector(image.costs);
   writer.EndSection();
   return writer;
 }
 
-TEST_F(CheckpointResumeTest, EnumerationSnapshotUnderWholeConfigKeyIsIgnored) {
-  // A snapshot written while the memo keyed on the whole configuration
-  // carries cache entries under a different config_hash meaning; it must be
-  // treated as foreign, so the run starts fresh.
+TEST_F(CheckpointResumeTest, HostileSnapshotsAreIgnored) {
+  // Each case is a well-formed container (every CRC valid) whose payload a
+  // resume must not trust: the run starts fresh, makes every optimizer
+  // call again and matches an uninterrupted run.
   std::vector<advisor::WeightedQuery> queries;
   std::vector<engine::Index> pool;
   std::unordered_set<engine::Index> seen;
@@ -509,57 +515,89 @@ TEST_F(CheckpointResumeTest, EnumerationSnapshotUnderWholeConfigKeyIsIgnored) {
     }
   }
   constexpr int kMaxIndexes = 4;
-  // Optimizer calls of one enumeration from a cold memo.
+  // One enumeration from a cold memo, and its optimizer calls.
   auto enumerate = [&](const std::string& ckpt_path) {
-    CheckpointConfig ckpt;
-    ckpt.path = ckpt_path;
-    ckpt.every_rounds = 1;
+    CheckpointTo(ckpt_path);
     engine::WhatIfOptimizer what_if(env_->cost_model.get());
     const advisor::EnumerationResult result = advisor::GreedyEnumerate(
         what_if, queries, pool, kMaxIndexes, /*storage_budget_bytes=*/0,
-        *env_->catalog, {}, /*num_threads=*/1, ckpt);
+        *env_->catalog);
     return std::make_pair(result, what_if.optimizer_calls());
   };
   const auto [full, full_calls] = enumerate("");
   ASSERT_EQ(full.configuration.size(), static_cast<size_t>(kMaxIndexes));
 
-  const std::string killed_path = FreshCkptBase("enum_old_key_src");
+  const std::string killed_path = FreshCkptBase("hostile_src");
   KillAtRound("advisor.enumerate", 2);
   (void)enumerate(killed_path);
   FaultInjector::Global().Reset();
   const std::filesystem::path newest = NewestEpoch(killed_path, ".enum");
   ASSERT_FALSE(newest.empty());
-  const CheckpointReader killed =
+  const EnumImage killed = DecodeEnumImage(
       CheckpointReader::Parse(ReadFileToString(newest.string()).value())
-          .value();
-  const uint64_t current_fingerprint = killed.Section(1)->ReadU64().value();
+          .value());
+  ASSERT_EQ(killed.winners.size(), 2u);
 
-  // Control: the re-encoded snapshot under today's fingerprint is restored
-  // and saves the killed run's optimizer work.
-  const std::string control_path = FreshCkptBase("enum_old_key_control");
-  CheckpointStore control_store(control_path + ".enum", current_fingerprint);
-  ASSERT_TRUE(
-      control_store
-          .WriteEpoch(RetagEnumSnapshot(killed, current_fingerprint))
-          .ok());
-  const auto [control, control_calls] = enumerate(control_path);
-  EXPECT_EQ(control.configuration.StableHash(),
-            full.configuration.StableHash());
-  EXPECT_LT(control_calls, full_calls);
+  // Writes `writer` as the only epoch of a fresh lineage and resumes.
+  auto resume_from = [&](const std::string& name,
+                         const CheckpointWriter& writer) {
+    const std::string path = FreshCkptBase(name);
+    CheckpointStore store(path + ".enum", killed.meta[0]);
+    EXPECT_TRUE(store.WriteEpoch(writer).ok());
+    return enumerate(path);
+  };
 
-  // The same snapshot under the whole-configuration-key fingerprint is not
-  // restored: every optimizer call is made again.
-  const uint64_t old_fingerprint = WholeConfigKeyFingerprint(
-      queries, pool, kMaxIndexes, /*storage_budget_bytes=*/0);
-  ASSERT_NE(old_fingerprint, current_fingerprint);
-  const std::string old_path = FreshCkptBase("enum_old_key");
-  CheckpointStore old_store(old_path + ".enum", old_fingerprint);
-  ASSERT_TRUE(
-      old_store.WriteEpoch(RetagEnumSnapshot(killed, old_fingerprint)).ok());
-  const auto [fresh, fresh_calls] = enumerate(old_path);
-  EXPECT_EQ(fresh_calls, full_calls);
-  EXPECT_EQ(fresh.configuration.StableHash(), full.configuration.StableHash());
-  EXPECT_EQ(Bits(fresh.final_cost), Bits(full.final_cost));
+  // Controls: the re-encoded snapshot restores and saves optimizer calls,
+  // also with the memo section (id 4) that older builds wrote after it.
+  CheckpointWriter with_memo = EncodeEnumImage(killed);
+  with_memo.BeginSection(4);
+  with_memo.AppendU64(1);  // one (query id, config hash, cost) entry
+  with_memo.AppendU64(0);
+  with_memo.AppendU64(0);
+  with_memo.AppendF64(1.0);
+  with_memo.EndSection();
+  for (const auto& [name, writer] :
+       {std::make_pair("control", EncodeEnumImage(killed)),
+        std::make_pair("control_memo", with_memo)}) {
+    SCOPED_TRACE(name);
+    const auto [resumed, calls] =
+        resume_from(std::string("hostile_") + name, writer);
+    ExpectSameOutput(resumed, full);
+    EXPECT_LT(calls, full_calls);
+  }
+
+  const std::vector<std::pair<std::string, std::function<void(EnumImage&)>>>
+      cases = {
+          {"winner_outside_pool",
+           [&](EnumImage& s) { s.winners[1] = pool.size(); }},
+          {"repeated_winner",
+           [](EnumImage& s) { s.winners[1] = s.winners[0]; }},
+          {"more_winners_than_max_indexes",
+           [](EnumImage& s) {
+             for (uint64_t i = 0;
+                  s.winners.size() <= static_cast<size_t>(kMaxIndexes); ++i) {
+               if (std::find(s.winners.begin(), s.winners.end(), i) ==
+                   s.winners.end()) {
+                 s.winners.push_back(i);
+               }
+             }
+           }},
+          {"cost_vector_length", [](EnumImage& s) { s.costs.pop_back(); }},
+          {"initial_cost_bits", [](EnumImage& s) { s.meta[4] ^= 1; }},
+          {"stop_reason_out_of_range",
+           [](EnumImage& s) {
+             s.meta[2] = static_cast<uint64_t>(StopReason::kFault) + 1;
+           }},
+      };
+  for (const auto& [name, corrupt] : cases) {
+    SCOPED_TRACE(name);
+    EnumImage image = killed;
+    corrupt(image);
+    const auto [resumed, calls] =
+        resume_from("hostile_" + name, EncodeEnumImage(image));
+    ExpectSameOutput(resumed, full);
+    EXPECT_EQ(calls, full_calls);
+  }
 }
 
 // --- tracecat ckpt ---
@@ -567,14 +605,13 @@ TEST_F(CheckpointResumeTest, EnumerationSnapshotUnderWholeConfigKeyIsIgnored) {
 TEST_F(CheckpointResumeTest, TracecatInspectsWrittenEpochs) {
   advisor::TuningOptions options;
   options.max_indexes = 3;
-  options.checkpoint.path = FreshCkptBase("inspect");
-  options.checkpoint.every_rounds = 1;
+  const std::string base = FreshCkptBase("inspect");
+  CheckpointTo(base);
   advisor::DtaStyleAdvisor advisor(env_->cost_model.get());
   const advisor::TuningResult out = advisor.Tune(UnitQueries(), options);
   ASSERT_EQ(out.stop_reason, StopReason::kComplete);
 
-  const std::string epoch_path =
-      NewestEpoch(options.checkpoint.path, ".enum").string();
+  const std::string epoch_path = NewestEpoch(base, ".enum").string();
   ASSERT_FALSE(epoch_path.empty());
 
   StatusOr<std::string> report = tracecat::InspectCheckpoint(epoch_path);

@@ -1338,9 +1338,10 @@ StatusOr<std::string> InspectCheckpoint(const std::string& path) {
                      reader->SectionSize(id));
   }
   // The enumeration layout is recognized by its 48-byte meta (section 1)
-  // plus the what-if cache section (4). Anything else prints as a raw
-  // container.
-  if (reader->SectionSize(1) == 48 && reader->HasSection(4)) {
+  // plus the winners (2) and costs (3) sections. Anything else prints as a
+  // raw container.
+  if (reader->SectionSize(1) == 48 && reader->HasSection(2) &&
+      reader->HasSection(3)) {
     auto meta = reader->Section(1);
     if (!meta.ok()) return meta.status();
     ISUM_ASSIGN_OR_RETURN(const uint64_t fingerprint, meta->ReadU64());
@@ -1355,16 +1356,11 @@ StatusOr<std::string> InspectCheckpoint(const std::string& path) {
     if (!costs.ok()) return costs.status();
     ISUM_ASSIGN_OR_RETURN(const std::vector<double> cost_vec,
                           costs->ReadF64Vector());
-    auto cache = reader->Section(4);
-    if (!cache.ok()) return cache.status();
-    ISUM_ASSIGN_OR_RETURN(const uint64_t cache_count, cache->ReadU64());
     out += StrFormat(
         "enumeration snapshot: fingerprint %016llx, %zu round(s), "
-        "%zu quer(ies), %llu cached what-if answer(s), %llu config(s) "
-        "explored, stop %s%s\n",
+        "%zu quer(ies), %llu config(s) explored, stop %s%s\n",
         static_cast<unsigned long long>(fingerprint), winner_ids.size(),
-        cost_vec.size(), static_cast<unsigned long long>(cache_count),
-        static_cast<unsigned long long>(explored),
+        cost_vec.size(), static_cast<unsigned long long>(explored),
         StopReasonNote(reason).c_str(), done != 0 ? ", done" : "");
   }
   return out;
