@@ -1,9 +1,11 @@
 #include "advisor/enumerator.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <optional>
 
 #include "common/checkpoint.h"
 #include "common/fault.h"
@@ -17,37 +19,85 @@ namespace isum::advisor {
 
 namespace {
 
-/// Evaluation of one candidate against the current per-query costs. When
-/// `status` is non-OK the evaluation is incomplete and must not be applied.
-struct CandidateEvaluation {
+/// One pool candidate's evaluation, carried from round to round.
+/// `queries` lists, ascending, the queries that can use the candidate
+/// (CostModel::CanUseIndex); no other query's cost can change when it is
+/// added. `costs[j]` is the cost of `queries[j]` under the configuration
+/// plus the candidate. A non-OK `status` means the last costing failed or
+/// never ran: the evaluation must not be applied, and the candidate's next
+/// costing covers every query in its list. `pending` marks a candidate
+/// queued this round whose costing has not started.
+struct CandidateState {
+  std::vector<uint32_t> queries;
+  std::vector<double> costs;
   double improvement = 0.0;
-  std::vector<double> new_costs;
-  Status status;
+  Status status = Status::Unavailable("not costed");
+  bool pending = false;
 };
 
-CandidateEvaluation EvaluateCandidate(
-    engine::WhatIfOptimizer& what_if,
-    const std::vector<WeightedQuery>& queries,
-    const engine::Configuration& base_config, const engine::Index& candidate,
-    const std::vector<double>& current_cost, const TimeBudget& budget) {
-  engine::Configuration trial = base_config;
-  trial.Add(candidate);
-  CandidateEvaluation out;
-  out.new_costs.reserve(queries.size());
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    if (!queries[qi].query->ReferencesTable(candidate.table())) {
-      out.new_costs.push_back(current_cost[qi]);
-      continue;
+/// Re-costs the candidate's queries marked in `stale` (all of them when
+/// `full`) under `base_config` plus `candidate`, then re-sums the
+/// improvement over the whole list in query order: the terms of queries
+/// that cannot use the candidate are exact zeros, so the sum is the same
+/// bits as one over every query.
+void EvaluateCandidate(engine::WhatIfOptimizer& what_if,
+                       const std::vector<WeightedQuery>& queries,
+                       const engine::Configuration& base_config,
+                       const engine::Index& candidate,
+                       const std::vector<double>& current_cost,
+                       const std::vector<uint8_t>& stale, bool full,
+                       const TimeBudget& budget, CandidateState* state) {
+  std::optional<engine::Configuration> trial;
+  for (size_t j = 0; j < state->queries.size(); ++j) {
+    const uint32_t qi = state->queries[j];
+    if (!full && stale[qi] == 0) continue;
+    if (!trial.has_value()) {
+      trial.emplace(base_config);
+      trial->Add(candidate);
     }
-    const StatusOr<double> c = what_if.TryCost(*queries[qi].query, trial, budget);
+    const StatusOr<double> c =
+        what_if.TryCost(*queries[qi].query, *trial, budget);
     if (!c.ok()) {
-      out.status = c.status();
-      return out;
+      state->status = c.status();
+      return;
     }
-    out.new_costs.push_back(*c);
-    out.improvement += queries[qi].weight * (current_cost[qi] - *c);
+    state->costs[j] = *c;
   }
-  return out;
+  state->improvement = 0.0;
+  for (size_t j = 0; j < state->queries.size(); ++j) {
+    const uint32_t qi = state->queries[j];
+    state->improvement +=
+        queries[qi].weight * (current_cost[qi] - state->costs[j]);
+  }
+  state->status = Status::OK();
+}
+
+/// One CandidateState per pool entry, each listing the queries that can
+/// use it. Only the queries on a candidate's table are tested.
+std::vector<CandidateState> BuildCandidateStates(
+    const std::vector<WeightedQuery>& queries,
+    const std::vector<engine::Index>& pool, const catalog::Catalog& catalog) {
+  std::vector<std::vector<uint32_t>> queries_on_table(catalog.num_tables());
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    for (const sql::BoundTableRef& ref : queries[qi].query->tables) {
+      std::vector<uint32_t>& on_table =
+          queries_on_table[static_cast<size_t>(ref.table)];
+      if (on_table.empty() || on_table.back() != qi) {
+        on_table.push_back(static_cast<uint32_t>(qi));
+      }
+    }
+  }
+  std::vector<CandidateState> states(pool.size());
+  for (size_t i = 0; i < pool.size(); ++i) {
+    for (const uint32_t qi :
+         queries_on_table[static_cast<size_t>(pool[i].table())]) {
+      if (engine::CostModel::CanUseIndex(*queries[qi].query, pool[i])) {
+        states[i].queries.push_back(qi);
+      }
+    }
+    states[i].costs.resize(states[i].queries.size());
+  }
+  return states;
 }
 
 /// ---- Enumeration checkpointing ----
@@ -228,6 +278,11 @@ EnumerationResult GreedyEnumerate(
     pool_threads = std::make_unique<ThreadPool>(static_cast<size_t>(num_threads));
   }
 
+  std::vector<CandidateState> states =
+      BuildCandidateStates(queries, pool, catalog);
+  // Queries whose cost the last winner changed; nothing before round 0,
+  // where every candidate is costed in full.
+  std::vector<uint8_t> stale(queries.size(), 0);
   std::vector<bool> used(pool.size(), false);
   uint64_t used_storage = 0;
   uint64_t round_index = 0;
@@ -336,22 +391,42 @@ EnumerationResult GreedyEnumerate(
     if (budget.limited()) round_cancel = budget.token().Child();
     const TimeBudget round_budget(budget.deadline(), round_cancel);
 
-    std::vector<CandidateEvaluation> evaluations(eligible.size());
-    auto evaluate = [&](size_t e) {
-      evaluations[e] =
-          EvaluateCandidate(what_if, queries, result.configuration,
-                            pool[eligible[e]], current_cost, round_budget);
-      const Status& st = evaluations[e].status;
-      if (!st.ok() && st.code() != StatusCode::kUnavailable &&
+    // Candidates to cost this round: every query in the list of one whose
+    // last costing did not complete, else only the queries that can also
+    // use the last winner. The rest keep last round's costs, which no
+    // index added since can have changed.
+    struct Work {
+      size_t pool_index;
+      bool full;
+    };
+    std::vector<Work> work;
+    for (const size_t i : eligible) {
+      CandidateState& state = states[i];
+      const bool full = !state.status.ok();
+      if (!full && std::none_of(state.queries.begin(), state.queries.end(),
+                                [&](uint32_t qi) { return stale[qi] != 0; })) {
+        continue;
+      }
+      work.push_back({i, full});
+      state.pending = true;
+    }
+    auto evaluate = [&](size_t w) {
+      CandidateState& state = states[work[w].pool_index];
+      state.pending = false;
+      EvaluateCandidate(what_if, queries, result.configuration,
+                        pool[work[w].pool_index], current_cost, stale,
+                        work[w].full, round_budget, &state);
+      if (!state.status.ok() &&
+          state.status.code() != StatusCode::kUnavailable &&
           round_cancel.cancellable()) {
         round_cancel.Cancel();
       }
     };
     if (pool_threads != nullptr) {
-      pool_threads->ParallelFor(eligible.size(), evaluate, round_cancel);
+      pool_threads->ParallelFor(work.size(), evaluate, round_cancel);
     } else {
-      for (size_t e = 0; e < eligible.size(); ++e) {
-        evaluate(e);
+      for (size_t w = 0; w < work.size(); ++w) {
+        evaluate(w);
         if (round_cancel.cancelled()) break;
       }
     }
@@ -359,17 +434,26 @@ EnumerationResult GreedyEnumerate(
     // A deadline/cancellation mid-round invalidates the round: which
     // candidates finished depends on timing, so applying a winner here would
     // make the output nondeterministic. Keep the configuration from the
-    // completed rounds instead.
+    // completed rounds instead. That includes a cancellation that only
+    // skipped candidates, leaving them pending.
     Status stop_status;
     size_t faulted = 0;
-    for (size_t e = 0; e < eligible.size(); ++e) {
-      const Status& st = evaluations[e].status;
-      if (st.ok()) continue;
-      if (st.code() == StatusCode::kUnavailable) {
+    bool cut = false;
+    for (const size_t i : eligible) {
+      const CandidateState& state = states[i];
+      if (state.pending) {
+        cut = true;
+      } else if (state.status.ok()) {
+        continue;
+      } else if (state.status.code() == StatusCode::kUnavailable) {
         ++faulted;
       } else if (stop_status.ok()) {
-        stop_status = st;
+        stop_status = state.status;
       }
+    }
+    if (stop_status.ok() && cut) {
+      stop_status = budget.CheckCancelled();
+      if (stop_status.ok()) stop_status = Status::Cancelled("round cut short");
     }
     if (!stop_status.ok()) {
       result.stop_reason = TimeBudget::ReasonFor(stop_status);
@@ -383,18 +467,17 @@ EnumerationResult GreedyEnumerate(
 
     // Deterministic reduction: best improvement, ties to the lowest index.
     // Candidates whose costing failed are treated as non-improving.
-    size_t best_e = eligible.size();
+    size_t best_i = pool.size();
     double best_improvement = 0.0;
-    for (size_t e = 0; e < eligible.size(); ++e) {
-      if (!evaluations[e].status.ok()) continue;
-      if (evaluations[e].improvement > best_improvement) {
-        best_improvement = evaluations[e].improvement;
-        best_e = e;
+    for (const size_t i : eligible) {
+      if (!states[i].status.ok()) continue;
+      if (states[i].improvement > best_improvement) {
+        best_improvement = states[i].improvement;
+        best_i = i;
       }
     }
-    if (best_e == eligible.size()) break;
+    if (best_i == pool.size()) break;
 
-    const size_t best_i = eligible[best_e];
     if (obs::Journal::Global().enabled()) {
       obs::Journal::Global().EnumRound(
           round_index, eligible.size(), best_i, best_improvement,
@@ -405,11 +488,21 @@ EnumerationResult GreedyEnumerate(
     used[best_i] = true;
     used_storage += pool[best_i].SizeBytes(catalog);
     result.configuration.Add(pool[best_i]);
-    current_cost = std::move(evaluations[best_e].new_costs);
+    // The winner changes the cost of exactly the queries that can use it;
+    // those are the stale ones next round.
+    std::fill(stale.begin(), stale.end(), 0);
+    const CandidateState& winner = states[best_i];
+    for (size_t j = 0; j < winner.queries.size(); ++j) {
+      current_cost[winner.queries[j]] = winner.costs[j];
+      stale[winner.queries[j]] = 1;
+    }
     total_cost -= best_improvement;
     if (ckpt_store != nullptr) {
       winner_ids.push_back(best_i);
-      write_checkpoint(/*done=*/false);
+      // The write after the loop records the last round, done.
+      if (static_cast<int>(result.configuration.size()) < max_indexes) {
+        write_checkpoint(/*done=*/false);
+      }
     }
   }
 

@@ -23,8 +23,19 @@ struct EnumerationResult {
 /// Greedily grows a configuration from `pool`: each round adds the candidate
 /// with the maximum weighted-workload cost improvement that still fits the
 /// storage budget, stopping at `max_indexes` or when no candidate improves.
-/// Re-costs only queries referencing the candidate's table (plus the
-/// memoization in `what_if`), which is what makes enumeration tractable.
+///
+/// Enumeration is incremental and exact. Once per call, each candidate gets
+/// the ascending list of queries that can use it
+/// (engine::CostModel::CanUseIndex); no other query's cost can change when
+/// it is added, so it is costed against that list only. Its per-query
+/// costs are carried from round to round. In round 0, and in the first
+/// round after a checkpoint restore, every candidate is costed against its
+/// whole list; so is a candidate whose last costing failed or was cut.
+/// After that a candidate re-costs only the queries that can also use the
+/// last winner, and its improvement is re-summed over its list in query
+/// order, giving the same bits as a sum over every query. The winner sets
+/// the current cost of the queries on its own list.
+///
 /// `budget` makes enumeration anytime: it is observed at round boundaries
 /// and inside every what-if call, and on expiry the configuration built so
 /// far is returned with stop_reason set. Candidates whose costing fails
@@ -42,9 +53,10 @@ struct EnumerationResult {
 /// constraints) and bit-exact initial cost match is restored — the winner
 /// sequence is replayed and the per-query current costs reinstated — and
 /// enumeration continues from the checkpointed round through a cold what-if
-/// memo. Epochs are written after every completed round and at
-/// termination. A resumed run adds the same indexes at the same costs as an
-/// uninterrupted one.
+/// memo, costing every candidate in full once. Epochs are written after
+/// every completed round and at termination; the round that reaches
+/// `max_indexes` is written once, by the termination write. A resumed run
+/// adds the same indexes at the same costs as an uninterrupted one.
 EnumerationResult GreedyEnumerate(
     engine::WhatIfOptimizer& what_if,
     const std::vector<WeightedQuery>& queries,

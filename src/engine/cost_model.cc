@@ -30,7 +30,73 @@ bool IsRangeOp(sql::PredicateOp op) {
   }
 }
 
+/// True if `f` can extend a seek prefix (equality) or end it (range).
+bool CanSeek(const sql::FilterPredicate& f) {
+  return f.sargable && (IsEqualityOp(f.op) || IsRangeOp(f.op));
+}
+
 }  // namespace
+
+bool CostModel::CanUseIndex(const sql::BoundQuery& query, const Index& index) {
+  const catalog::TableId table = index.table();
+  if (!query.ReferencesTable(table)) return false;
+  if (HasSeekPrefix(index, query.filters)) return true;
+  std::vector<catalog::ColumnId> join_columns;
+  for (const sql::JoinPredicate& jp : query.joins) {
+    if (jp.left.table == table) join_columns.push_back(jp.left);
+    if (jp.right.table == table) join_columns.push_back(jp.right);
+  }
+  if (LeadsWithAnyOf(index, join_columns)) return true;
+  if (ProvidesOrder(index, 0, DesiredOrder(query))) return true;
+  return Covers(index, table, query.ReferencedColumns());
+}
+
+bool CostModel::HasSeekPrefix(const Index& index,
+                              const std::vector<sql::FilterPredicate>& filters) {
+  if (index.key_columns().empty()) return false;
+  const catalog::ColumnId lead = index.key_columns()[0];
+  for (const sql::FilterPredicate& f : filters) {
+    if (f.column == lead && CanSeek(f)) return true;
+  }
+  return false;
+}
+
+bool CostModel::Covers(const Index& index, catalog::TableId table,
+                       const std::vector<catalog::ColumnId>& columns) {
+  for (catalog::ColumnId c : columns) {
+    if (c.table == table && !index.ContainsColumn(c)) return false;
+  }
+  return true;
+}
+
+bool CostModel::ProvidesOrder(const Index& index, size_t skip,
+                              const std::vector<catalog::ColumnId>& order) {
+  const std::vector<catalog::ColumnId>& keys = index.key_columns();
+  if (order.empty() || keys.size() < skip + order.size()) return false;
+  return std::equal(order.begin(), order.end(), keys.begin() + skip);
+}
+
+bool CostModel::LeadsWithAnyOf(const Index& index,
+                               const std::vector<catalog::ColumnId>& columns) {
+  if (index.key_columns().empty()) return false;
+  return std::find(columns.begin(), columns.end(), index.key_columns()[0]) !=
+         columns.end();
+}
+
+std::vector<catalog::ColumnId> CostModel::DesiredOrder(
+    const sql::BoundQuery& query) {
+  std::vector<catalog::ColumnId> order;
+  if (query.tables.empty()) return order;
+  for (const sql::BoundTableRef& ref : query.tables) {
+    if (ref.table != query.tables.front().table) return order;
+  }
+  if (!query.order_by_columns.empty()) {
+    for (const auto& [col, desc] : query.order_by_columns) order.push_back(col);
+  } else {
+    order = query.group_by_columns;
+  }
+  return order;
+}
 
 double CostModel::FullScanCost(catalog::TableId table) const {
   const catalog::Table& t = catalog_->table(table);
@@ -81,6 +147,14 @@ AccessPath CostModel::BestAccessPath(
   best.seek_selectivity = 1.0;
 
   for (const Index* index : config.IndexesOnTable(table)) {
+    // An index with no seek prefix that neither covers nor gives the order
+    // is never chosen; CanUseIndex rejects exactly these.
+    const bool covering = Covers(*index, table, required_columns);
+    if (!covering && !HasSeekPrefix(*index, filters) &&
+        !ProvidesOrder(*index, 0, desired_order)) {
+      continue;
+    }
+
     // --- Determine the seek prefix this index supports. ---
     double seek_sel = 1.0;
     size_t matched = 0;
@@ -91,52 +165,23 @@ AccessPath CostModel::BestAccessPath(
       bool advanced = false;
       for (size_t i = 0; i < filters.size(); ++i) {
         const auto& f = filters[i];
-        if (filter_used[i] || f.column != key || !f.sargable) continue;
-        if (IsEqualityOp(f.op)) {
-          seek_sel *= f.selectivity;
-          filter_used[i] = true;
-          ++matched;
-          advanced = true;
-          break;
-        }
-        if (IsRangeOp(f.op)) {
-          seek_sel *= f.selectivity;
-          filter_used[i] = true;
-          ++matched;
-          range_used = true;
-          advanced = true;
-          break;
-        }
+        if (filter_used[i] || f.column != key || !CanSeek(f)) continue;
+        seek_sel *= f.selectivity;
+        filter_used[i] = true;
+        ++matched;
+        range_used = IsRangeOp(f.op);
+        advanced = true;
+        break;
       }
       if (!advanced) break;
     }
 
-    // --- Covering check. ---
-    bool covering = true;
-    for (catalog::ColumnId c : required_columns) {
-      if (c.table == table && !index->ContainsColumn(c)) {
-        covering = false;
-        break;
-      }
-    }
-
     // --- Order check: after equality-matched leading keys, the remaining
-    // key sequence must start with `desired_order`. ---
-    bool provides_order = false;
-    if (!desired_order.empty()) {
-      const size_t skip = range_used && matched > 0 ? matched - 1 : matched;
-      if (index->key_columns().size() >= skip + desired_order.size()) {
-        provides_order = true;
-        for (size_t i = 0; i < desired_order.size(); ++i) {
-          if (index->key_columns()[skip + i] != desired_order[i]) {
-            provides_order = false;
-            break;
-          }
-        }
-      }
-      // A range column consumes the order position it sorts by, so order on
-      // the range column itself is preserved; handled by skip above.
-    }
+    // key sequence must start with `desired_order`. A range column consumes
+    // the order position it sorts by, so order on the range column itself
+    // is preserved. ---
+    const size_t skip = range_used && matched > 0 ? matched - 1 : matched;
+    const bool provides_order = ProvidesOrder(*index, skip, desired_order);
 
     AccessPath path;
     path.index = index;
@@ -147,9 +192,8 @@ AccessPath CostModel::BestAccessPath(
     path.out_rows = out_rows;
 
     if (matched == 0) {
-      // No seek possible: index-only scan is useful when covering (narrower
-      // than the heap) or when it provides the desired order.
-      if (!covering && !provides_order) continue;
+      // No seek possible: an index-only scan, useful because it is covering
+      // (narrower than the heap) or provides the desired order.
       const double leaf_pages = static_cast<double>(index->LeafPages(*catalog_));
       double io = covering
                       ? leaf_pages * params_.seq_page_cost

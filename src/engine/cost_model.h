@@ -56,6 +56,44 @@ class CostModel {
   const catalog::Catalog& catalog() const { return *catalog_; }
   const stats::StatsManager& stats() const { return *stats_; }
 
+  /// True unless the optimizer provably ignores `index` when costing
+  /// `query`, under any configuration. That holds when `query` does not
+  /// reference the index's table, or when none of these holds:
+  ///   - a sargable equality or range filter sits on the leading key
+  ///     (a seek prefix exists);
+  ///   - the index covers every column the query needs from its table;
+  ///   - the query is single-table and the key order gives its ORDER BY
+  ///     (else GROUP BY) order;
+  ///   - the leading key is a join column of the index's table.
+  /// The first three are BestAccessPath's test for considering an index;
+  /// the last is a superset of the index-nested-loop test, which needs the
+  /// join partner to be placed already. All of them go through the helpers
+  /// below, which the optimizer itself calls. Dropping unusable indexes
+  /// from a configuration leaves the query's cost bit-identical, so the
+  /// enumerator never costs a (query, candidate) pair this rejects.
+  static bool CanUseIndex(const sql::BoundQuery& query, const Index& index);
+
+  /// A sargable equality or range filter in `filters` sits on `index`'s
+  /// leading key, so a seek on it matches at least one key column.
+  static bool HasSeekPrefix(const Index& index,
+                            const std::vector<sql::FilterPredicate>& filters);
+  /// `index` contains every column of `table` listed in `columns` (columns
+  /// of other tables are ignored).
+  static bool Covers(const Index& index, catalog::TableId table,
+                     const std::vector<catalog::ColumnId>& columns);
+  /// The key columns after the first `skip` start with `order` (false when
+  /// `order` is empty).
+  static bool ProvidesOrder(const Index& index, size_t skip,
+                            const std::vector<catalog::ColumnId>& order);
+  /// The leading key column is one of `columns`.
+  static bool LeadsWithAnyOf(const Index& index,
+                             const std::vector<catalog::ColumnId>& columns);
+  /// The column sequence whose order lets `query` skip its sort or stream
+  /// its aggregate: ORDER BY columns, else GROUP BY columns. Empty unless
+  /// the query reads a single table.
+  static std::vector<catalog::ColumnId> DesiredOrder(
+      const sql::BoundQuery& query);
+
   /// Cost of a full heap scan of `table` (CPU for all rows included).
   double FullScanCost(catalog::TableId table) const;
 

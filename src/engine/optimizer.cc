@@ -85,23 +85,13 @@ PlanSummary Optimizer::Optimize(const sql::BoundQuery& query,
   const bool single_table = ctx.size() == 1;
 
   // Desired physical order (sort avoidance), single-table only.
-  std::vector<catalog::ColumnId> desired_order;
-  if (single_table) {
-    if (!query.order_by_columns.empty()) {
-      for (const auto& [col, desc] : query.order_by_columns) {
-        desired_order.push_back(col);
-      }
-    } else if (!query.group_by_columns.empty()) {
-      desired_order = query.group_by_columns;
-    }
-  }
+  const std::vector<catalog::ColumnId> desired_order =
+      CostModel::DesiredOrder(query);
 
   // --- Access path per table. ---
   for (TableContext& tc : ctx) {
     tc.access = cm.BestAccessPath(tc.table, tc.filters, tc.required_columns,
-                                  single_table ? desired_order
-                                               : std::vector<catalog::ColumnId>{},
-                                  config);
+                                  desired_order, config);
   }
 
   // --- Join order (greedy left-deep). ---
@@ -202,27 +192,14 @@ PlanSummary Optimizer::Optimize(const sql::BoundQuery& query,
         }
         // Index nested loop: leading index key must be an inner join column.
         for (const Index* index : config.IndexesOnTable(tc.table)) {
-          if (index->key_columns().empty()) continue;
+          if (!CostModel::LeadsWithAnyOf(*index, inner_join_cols)) continue;
           const catalog::ColumnId lead = index->key_columns()[0];
-          bool usable = false;
-          for (catalog::ColumnId jc : inner_join_cols) {
-            if (jc == lead) {
-              usable = true;
-              break;
-            }
-          }
-          if (!usable) continue;
           const double inner_rows =
               static_cast<double>(cat.table(tc.table).row_count());
           const double per_probe =
               std::max(1e-3, inner_rows / std::max(1.0, stats.DistinctCount(lead)));
-          bool covering = true;
-          for (catalog::ColumnId c : tc.required_columns) {
-            if (!index->ContainsColumn(c)) {
-              covering = false;
-              break;
-            }
-          }
+          const bool covering =
+              CostModel::Covers(*index, tc.table, tc.required_columns);
           const double inl_cost =
               output_cpu +
               cm.IndexNestedLoopCost(*index, cur_rows, per_probe, covering);

@@ -500,6 +500,32 @@ CheckpointWriter EncodeEnumImage(const EnumImage& image) {
   return writer;
 }
 
+TEST_F(CheckpointResumeTest, RunReachingMaxIndexesWritesOneEpochPerRound) {
+  // Rounds 1-4 write done=0 epochs; the fifth round, which ends the loop,
+  // is written once, as the done=1 epoch.
+  advisor::TuningOptions options;
+  options.max_indexes = 5;
+  const std::string base = FreshCkptBase("one_per_round");
+  CheckpointTo(base);
+  advisor::DtaStyleAdvisor advisor(env_->cost_model.get());
+  const advisor::TuningResult out = advisor.Tune(UnitQueries(), options);
+  ASSERT_EQ(out.stop_reason, StopReason::kComplete);
+  ASSERT_EQ(out.configuration.size(), 5u);
+
+  // Epochs are numbered from 0 and the two newest are kept.
+  std::vector<std::string> names;
+  for (const auto& [name, bytes] : EpochFiles(base)) names.push_back(name);
+  ASSERT_EQ(names.size(), 2u);
+  EXPECT_NE(names[0].find(".e3.ckpt"), std::string::npos) << names[0];
+  EXPECT_NE(names[1].find(".e4.ckpt"), std::string::npos) << names[1];
+  const EnumImage newest = DecodeEnumImage(
+      CheckpointReader::Parse(
+          ReadFileToString(NewestEpoch(base, ".enum").string()).value())
+          .value());
+  EXPECT_EQ(newest.meta[1], 1u);  // done
+  EXPECT_EQ(newest.winners.size(), 5u);
+}
+
 TEST_F(CheckpointResumeTest, HostileSnapshotsAreIgnored) {
   // Each case is a well-formed container (every CRC valid) whose payload a
   // resume must not trust: the run starts fresh, makes every optimizer

@@ -440,45 +440,91 @@ TEST_F(WhatIfProjectionTest, ReferencedTableIndexIsAMiss) {
   EXPECT_EQ(Bits(seek_cost), Bits(Optimizer(&cost_model_).Cost(q, config)));
 }
 
-/// Grows seeded random configurations from the union of every query's
-/// candidates (so most indexes sit on tables a given query does not
-/// reference) and checks that a shared, ever-warmer WhatIfOptimizer answers
-/// every query bit-for-bit like a fresh Optimizer.
-void ExpectWarmMemoMatchesFreshOptimizer(
-    const workload::GeneratedWorkload& env) {
-  const workload::Workload& wl = *env.workload;
+/// The union of every query's candidates, in first-seen order.
+std::vector<Index> CandidateUnion(const workload::GeneratedWorkload& env) {
   std::vector<Index> pool;
   std::unordered_set<Index> seen;
-  for (size_t i = 0; i < wl.size(); ++i) {
+  for (size_t i = 0; i < env.workload->size(); ++i) {
     for (Index& index :
-         advisor::GenerateCandidates(wl.query(i).bound, *env.stats)) {
+         advisor::GenerateCandidates(env.workload->query(i).bound, *env.stats)) {
       if (seen.insert(index).second) pool.push_back(std::move(index));
     }
   }
-  ASSERT_FALSE(pool.empty()) << env.name;
+  return pool;
+}
 
-  WhatIfOptimizer shared(env.cost_model.get());
-  const Optimizer fresh(env.cost_model.get());
+/// Calls `visit(config)` on every step of seeded random walks that grow a
+/// configuration from `pool`, so most indexes sit on tables a given query
+/// does not reference.
+template <typename Visit>
+void ForEachRandomWalkStep(const std::vector<Index>& pool, Visit visit) {
   constexpr int kWalks = 3;
   constexpr int kIndexesPerWalk = 8;
-  size_t mismatches = 0;
   for (int walk = 0; walk < kWalks; ++walk) {
     Rng rng(1000 + static_cast<uint64_t>(walk));
     Configuration config;
     for (int step = 0; step < kIndexesPerWalk; ++step) {
       config.Add(pool[rng.NextUint64(pool.size())]);
-      for (size_t i = 0; i < wl.size(); ++i) {
-        const sql::BoundQuery& q = wl.query(i).bound;
-        if (Bits(shared.Cost(q, config)) != Bits(fresh.Cost(q, config))) {
-          ++mismatches;
-        }
-      }
+      visit(config);
     }
   }
+}
+
+/// Checks that a shared, ever-warmer WhatIfOptimizer answers every query
+/// bit-for-bit like a fresh Optimizer along the random walks.
+void ExpectWarmMemoMatchesFreshOptimizer(
+    const workload::GeneratedWorkload& env) {
+  const workload::Workload& wl = *env.workload;
+  const std::vector<Index> pool = CandidateUnion(env);
+  ASSERT_FALSE(pool.empty()) << env.name;
+
+  WhatIfOptimizer shared(env.cost_model.get());
+  const Optimizer fresh(env.cost_model.get());
+  size_t mismatches = 0;
+  ForEachRandomWalkStep(pool, [&](const Configuration& config) {
+    for (size_t i = 0; i < wl.size(); ++i) {
+      const sql::BoundQuery& q = wl.query(i).bound;
+      if (Bits(shared.Cost(q, config)) != Bits(fresh.Cost(q, config))) {
+        ++mismatches;
+      }
+    }
+  });
   EXPECT_EQ(mismatches, 0u) << env.name;
   // The projection must actually be exercised: most costings are answered
   // from configurations that differ only on unreferenced tables.
   EXPECT_GT(shared.cache_hits(), shared.optimizer_calls()) << env.name;
+}
+
+/// Along the same random walks, costing a query under only the indexes
+/// CostModel::CanUseIndex accepts gives the same bits as under the whole
+/// configuration. The predicate must also reject some index on a table the
+/// query references, or the check says nothing beyond the table projection.
+void ExpectUsableIndexesCostTheSame(const workload::GeneratedWorkload& env) {
+  const workload::Workload& wl = *env.workload;
+  const std::vector<Index> pool = CandidateUnion(env);
+  ASSERT_FALSE(pool.empty()) << env.name;
+
+  const Optimizer fresh(env.cost_model.get());
+  size_t mismatches = 0;
+  size_t dropped_on_referenced_table = 0;
+  ForEachRandomWalkStep(pool, [&](const Configuration& config) {
+    for (size_t i = 0; i < wl.size(); ++i) {
+      const sql::BoundQuery& q = wl.query(i).bound;
+      Configuration usable;
+      for (const Index& index : config.indexes()) {
+        if (CostModel::CanUseIndex(q, index)) {
+          usable.Add(index);
+        } else if (q.ReferencesTable(index.table())) {
+          ++dropped_on_referenced_table;
+        }
+      }
+      if (Bits(fresh.Cost(q, usable)) != Bits(fresh.Cost(q, config))) {
+        ++mismatches;
+      }
+    }
+  });
+  EXPECT_EQ(mismatches, 0u) << env.name;
+  EXPECT_GT(dropped_on_referenced_table, 0u) << env.name;
 }
 
 workload::GeneratorOptions OneInstancePerTemplate() {
@@ -504,6 +550,24 @@ TEST(WhatIfProjectionOracle, Dsb) {
 
 TEST(WhatIfProjectionOracle, RealM) {
   ExpectWarmMemoMatchesFreshOptimizer(
+      workload::MakeRealM(OneInstancePerTemplate()));
+}
+
+TEST(IndexUsabilityOracle, Tpch) {
+  ExpectUsableIndexesCostTheSame(workload::MakeTpch(OneInstancePerTemplate()));
+}
+
+TEST(IndexUsabilityOracle, Tpcds) {
+  ExpectUsableIndexesCostTheSame(
+      workload::MakeTpcds(OneInstancePerTemplate()));
+}
+
+TEST(IndexUsabilityOracle, Dsb) {
+  ExpectUsableIndexesCostTheSame(workload::MakeDsb(OneInstancePerTemplate()));
+}
+
+TEST(IndexUsabilityOracle, RealM) {
+  ExpectUsableIndexesCostTheSame(
       workload::MakeRealM(OneInstancePerTemplate()));
 }
 
