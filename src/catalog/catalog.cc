@@ -1,8 +1,5 @@
 #include "catalog/catalog.h"
 
-
-#include "common/string_util.h"
-
 namespace isum::catalog {
 
 namespace {
@@ -58,19 +55,18 @@ int32_t DefaultWidthBytes(ColumnType type, int32_t declared_length) {
 }
 
 StatusOr<int32_t> Table::AddColumn(Column column) {
-  const std::string key = ToLower(column.name);
-  if (by_name_.contains(key)) {
+  if (by_name_.contains(std::string_view(column.name))) {
     return Status::AlreadyExists("column '" + column.name + "' already in table '" +
                                  name_ + "'");
   }
   column.ordinal = static_cast<int32_t>(columns_.size());
-  by_name_.emplace(key, column.ordinal);
+  by_name_.emplace(column.name, column.ordinal);
   columns_.push_back(std::move(column));
   return columns_.back().ordinal;
 }
 
-int32_t Table::FindColumn(const std::string& name) const {
-  auto it = by_name_.find(ToLower(name));
+int32_t Table::FindColumn(std::string_view name) const {
+  auto it = by_name_.find(name);
   return it == by_name_.end() ? -1 : it->second;
 }
 
@@ -87,23 +83,22 @@ uint64_t Table::data_pages() const {
 
 StatusOr<Table*> Catalog::CreateTable(const std::string& name,
                                       uint64_t row_count) {
-  const std::string key = ToLower(name);
-  if (by_name_.contains(key)) {
+  if (by_name_.contains(std::string_view(name))) {
     return Status::AlreadyExists("table '" + name + "' already exists");
   }
   const TableId id = static_cast<TableId>(tables_.size());
   tables_.push_back(std::make_unique<Table>(id, name, row_count));
-  by_name_.emplace(key, id);
+  by_name_.emplace(name, id);
   return tables_.back().get();
 }
 
-const Table* Catalog::FindTable(const std::string& name) const {
-  auto it = by_name_.find(ToLower(name));
+const Table* Catalog::FindTable(std::string_view name) const {
+  auto it = by_name_.find(name);
   return it == by_name_.end() ? nullptr : tables_[it->second].get();
 }
 
-Table* Catalog::FindMutableTable(const std::string& name) {
-  auto it = by_name_.find(ToLower(name));
+Table* Catalog::FindMutableTable(std::string_view name) {
+  auto it = by_name_.find(name);
   return it == by_name_.end() ? nullptr : tables_[it->second].get();
 }
 

@@ -4,11 +4,12 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "common/check.h"
 #include "common/status.h"
+#include "common/string_util.h"
 
 namespace isum::catalog {
 
@@ -76,7 +77,7 @@ class Table {
   StatusOr<int32_t> AddColumn(Column column);
 
   /// Finds a column ordinal by case-insensitive name; -1 if absent.
-  int32_t FindColumn(const std::string& name) const;
+  int32_t FindColumn(std::string_view name) const;
 
   /// Sum of column widths plus per-row overhead, in bytes.
   int32_t row_width_bytes() const;
@@ -89,7 +90,7 @@ class Table {
   std::string name_;
   uint64_t row_count_;
   std::vector<Column> columns_;
-  std::unordered_map<std::string, int32_t> by_name_;  // lower-cased name
+  CaseInsensitiveMap<int32_t> by_name_;
 };
 
 /// A named collection of tables. Owns Table objects; TableIds are dense
@@ -117,8 +118,8 @@ class Catalog {
   }
 
   /// Lookup by case-insensitive name; nullptr if absent.
-  const Table* FindTable(const std::string& name) const;
-  Table* FindMutableTable(const std::string& name);
+  const Table* FindTable(std::string_view name) const;
+  Table* FindMutableTable(std::string_view name);
 
   /// Resolves "table.column" or bare column name (if unambiguous across
   /// `candidate_tables`); returns an invalid id if not resolvable.
@@ -138,7 +139,7 @@ class Catalog {
 
  private:
   std::vector<std::unique_ptr<Table>> tables_;
-  std::unordered_map<std::string, TableId> by_name_;  // lower-cased name
+  CaseInsensitiveMap<TableId> by_name_;
 };
 
 }  // namespace isum::catalog

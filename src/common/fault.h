@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/mutex.h"
 #include "common/status.h"
 
 namespace isum {
@@ -51,15 +52,15 @@ namespace isum {
 /// the metrics registry as "fault.injected".
 ///
 /// Thread-safety: Inject() may run concurrently from any thread. Configure()
-/// swaps the configuration atomically (shared_ptr), so it is safe — though
-/// pointless — to reconfigure while sites are firing. The injector is
-/// deliberately lock-free (every member below is an atomic or reached
-/// through the atomic `config_` snapshot), so there is no mutex for
-/// ISUM_GUARDED_BY to name: the armed_ gate and per-rule invocation
-/// counters are relaxed atomics, and a loaded Config is immutable except
-/// for those counters. Keep it that way — ISUM_FAULT_POINT sits on the
-/// what-if hot path, inside code the `isum-lock-scope` lint rule forbids
-/// from running under a lock.
+/// builds a new immutable Config and swaps it in under `mu_`, so it is safe —
+/// though pointless — to reconfigure while sites are firing. `mu_` guards
+/// only the `config_` pointer: Inject() copies the snapshot under the lock
+/// and decides, sleeps and counts after releasing it, so no fault site ever
+/// sleeps or costs under the lock (ISUM_FAULT_POINT sits on the what-if hot
+/// path, inside code the `isum-lock-scope` lint rule forbids from running
+/// under a lock). The lock is taken only past the relaxed armed_ gate, so
+/// unarmed runs never touch it. A loaded Config is immutable except for the
+/// per-rule invocation counters, which are relaxed atomics.
 class FaultInjector {
  public:
   enum class Kind { kError, kLatency };
@@ -118,10 +119,13 @@ class FaultInjector {
 
   FaultInjector() = default;
 
+  /// The installed configuration; null when disarmed.
+  std::shared_ptr<const Config> Snapshot() const;
+
   inline static std::atomic<bool> armed_{false};
   std::atomic<uint64_t> injected_{0};
-  // C++20 atomic shared_ptr: Inject() loads without locking Configure().
-  std::atomic<std::shared_ptr<const Config>> config_{nullptr};
+  mutable Mutex mu_;
+  std::shared_ptr<const Config> config_ ISUM_GUARDED_BY(mu_);
 };
 
 /// The per-site check. Reads one relaxed atomic when no faults are

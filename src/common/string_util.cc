@@ -2,7 +2,10 @@
 
 #include <cctype>
 #include <cstdarg>
+#include <cstdint>
 #include <cstdio>
+
+#include "common/hash.h"
 
 namespace isum {
 
@@ -35,27 +38,31 @@ std::string_view Trim(std::string_view text) {
   return text.substr(b, e - b);
 }
 
+namespace {
+
+char UpperAscii(char c) {
+  return c >= 'a' && c <= 'z' ? static_cast<char>(c - 'a' + 'A') : c;
+}
+
+}  // namespace
+
 std::string ToLower(std::string_view text) {
   std::string out(text);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  for (char& c : out) c = AsciiLower(c);
   return out;
 }
 
 std::string ToUpper(std::string_view text) {
   std::string out(text);
-  for (char& c : out) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+  for (char& c : out) c = UpperAscii(c);
   return out;
 }
 
-bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i]))) {
-      return false;
-    }
-  }
-  return true;
+size_t CaseInsensitiveHash::operator()(std::string_view text) const {
+  // FNV-1a over the lower-cased bytes.
+  uint64_t h = kFnvOffsetBasis;
+  for (char c : text) h = FnvStep(h, static_cast<unsigned char>(AsciiLower(c)));
+  return static_cast<size_t>(h);
 }
 
 std::string StrFormat(const char* fmt, ...) {

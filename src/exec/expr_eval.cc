@@ -11,7 +11,7 @@ namespace isum::exec {
 std::optional<catalog::ColumnId> ExpressionEvaluator::Resolve(
     const sql::ColumnRefExpression& ref) const {
   if (!ref.table().empty()) {
-    auto it = alias_map_->find(ToLower(ref.table()));
+    auto it = alias_map_->find(std::string_view(ref.table()));
     if (it == alias_map_->end()) return std::nullopt;
     const int32_t ord = catalog_->table(it->second).FindColumn(ref.column());
     if (ord < 0) return std::nullopt;

@@ -26,7 +26,7 @@ class ExpressionEvaluator {
   /// name -> table id); `catalog` resolves column ordinals.
   ExpressionEvaluator(
       const catalog::Catalog* catalog,
-      const std::unordered_map<std::string, catalog::TableId>* alias_map)
+      const CaseInsensitiveMap<catalog::TableId>* alias_map)
       : catalog_(catalog), alias_map_(alias_map) {}
 
   /// Numeric value of a scalar expression; nullopt if not evaluable.
@@ -51,7 +51,7 @@ class ExpressionEvaluator {
                                   const ValueFn& value_of) const;
 
   const catalog::Catalog* catalog_;
-  const std::unordered_map<std::string, catalog::TableId>* alias_map_;
+  const CaseInsensitiveMap<catalog::TableId>* alias_map_;
 };
 
 }  // namespace isum::exec

@@ -20,38 +20,36 @@ constexpr double kLikePrefixSelectivity = 0.05;
 constexpr double kLikeContainsSelectivity = 0.09;
 constexpr double kMinSelectivity = 1e-9;
 
-/// Name-resolution scope for one statement.
+/// Name resolution for one statement. The constructor binds the FROM list
+/// into the query's `tables` and `alias_map`; Resolve reads them back.
 class Scope {
  public:
-  Scope(const catalog::Catalog& catalog, const std::vector<TableRef>& from)
-      : catalog_(catalog) {
+  Scope(const catalog::Catalog& catalog, const std::vector<TableRef>& from,
+        BoundQuery* out)
+      : catalog_(catalog), query_(*out) {
+    out->tables.reserve(from.size());
     for (const TableRef& ref : from) {
       const catalog::Table* t = catalog.FindTable(ref.table_name);
-      tables_.push_back(
+      out->tables.push_back(
           BoundTableRef{t == nullptr ? catalog::kInvalidTableId : t->id(),
                         ref.effective_name()});
-      if (t != nullptr) by_name_[ToLower(ref.effective_name())] = t->id();
+      if (t != nullptr) out->alias_map[ToLower(ref.effective_name())] = t->id();
     }
   }
 
   Status Validate(const std::vector<TableRef>& from) const {
-    for (size_t i = 0; i < tables_.size(); ++i) {
-      if (tables_[i].table == catalog::kInvalidTableId) {
+    for (size_t i = 0; i < query_.tables.size(); ++i) {
+      if (query_.tables[i].table == catalog::kInvalidTableId) {
         return Status::BindError("unknown table '" + from[i].table_name + "'");
       }
     }
     return Status::OK();
   }
 
-  const std::vector<BoundTableRef>& tables() const { return tables_; }
-  const std::unordered_map<std::string, catalog::TableId>& names() const {
-    return by_name_;
-  }
-
   StatusOr<catalog::ColumnId> Resolve(const ColumnRefExpression& ref) const {
     if (!ref.table().empty()) {
-      auto it = by_name_.find(ToLower(ref.table()));
-      if (it == by_name_.end()) {
+      auto it = query_.alias_map.find(std::string_view(ref.table()));
+      if (it == query_.alias_map.end()) {
         return Status::BindError("unknown table or alias '" + ref.table() + "'");
       }
       const catalog::Table& t = catalog_.table(it->second);
@@ -63,7 +61,7 @@ class Scope {
       return catalog::ColumnId{it->second, ord};
     }
     catalog::ColumnId found{};
-    for (const BoundTableRef& bt : tables_) {
+    for (const BoundTableRef& bt : query_.tables) {
       const catalog::Table& t = catalog_.table(bt.table);
       const int32_t ord = t.FindColumn(ref.column());
       if (ord >= 0) {
@@ -81,8 +79,7 @@ class Scope {
 
  private:
   const catalog::Catalog& catalog_;
-  std::vector<BoundTableRef> tables_;
-  std::unordered_map<std::string, catalog::TableId> by_name_;
+  const BoundQuery& query_;
 };
 
 void FlattenConjuncts(const Expression& expr,
@@ -102,7 +99,19 @@ void FlattenConjuncts(const Expression& expr,
 // become semi/anti-joined tables of the outer block, the way index advisors
 // see them after view unnesting. ---
 
-using SemanticsMap = std::unordered_map<std::string, JoinSemantics>;
+using SemanticsMap = CaseInsensitiveMap<JoinSemantics>;
+
+/// True if a top-level WHERE conjunct of `conjuncts` is a subquery
+/// predicate, i.e. the statement needs flattening.
+bool AnySubquery(const std::vector<const Expression*>& conjuncts) {
+  for (const Expression* c : conjuncts) {
+    if (c->kind() == ExpressionKind::kExists ||
+        c->kind() == ExpressionKind::kInSubquery) {
+      return true;
+    }
+  }
+  return false;
+}
 
 Status FlattenSubqueries(SelectStatement* stmt, SemanticsMap* semantics,
                          int depth);
@@ -147,15 +156,7 @@ Status FlattenSubqueries(SelectStatement* stmt, SemanticsMap* semantics,
 
   std::vector<const Expression*> conjuncts;
   FlattenConjuncts(*stmt->where, &conjuncts);
-  bool any_subquery = false;
-  for (const Expression* c : conjuncts) {
-    if (c->kind() == ExpressionKind::kExists ||
-        c->kind() == ExpressionKind::kInSubquery) {
-      any_subquery = true;
-      break;
-    }
-  }
-  if (!any_subquery) return Status::OK();
+  if (!AnySubquery(conjuncts)) return Status::OK();
 
   std::vector<ExpressionPtr> rebuilt;
   for (const Expression* c : conjuncts) {
@@ -484,34 +485,39 @@ double EncodeLiteral(const LiteralExpression& lit) {
 }
 
 StatusOr<BoundQuery> Binder::Bind(const SelectStatement& original,
-                                  std::string sql_text) const {
+                                  std::string_view /*sql_text*/) const {
   BoundQuery out;
-  out.sql_text = std::move(sql_text);
   // Template identity reflects the SQL as written, pre-flattening.
   out.template_hash = TemplateHash(original);
 
-  // Flatten [NOT] EXISTS / [NOT] IN subqueries into semi/anti joins.
-  SelectStatement flattened = original.Clone();
+  // Flatten [NOT] EXISTS / [NOT] IN subqueries into semi/anti joins. Only a
+  // statement that has one is copied; any other binds as written.
+  std::vector<const Expression*> conjuncts;
+  if (original.where != nullptr) FlattenConjuncts(*original.where, &conjuncts);
+  const bool flatten = AnySubquery(conjuncts);
+  SelectStatement flattened;
   SemanticsMap semantics;
-  ISUM_RETURN_IF_ERROR(FlattenSubqueries(&flattened, &semantics, 0));
-  const SelectStatement& stmt = flattened;
+  if (flatten) {
+    flattened = original.Clone();
+    ISUM_RETURN_IF_ERROR(FlattenSubqueries(&flattened, &semantics, 0));
+    conjuncts.clear();
+    if (flattened.where != nullptr) {
+      FlattenConjuncts(*flattened.where, &conjuncts);
+    }
+  }
+  const SelectStatement& stmt = flatten ? flattened : original;
 
   out.distinct = stmt.distinct;
   out.limit = stmt.limit;
 
-  Scope scope(*catalog_, stmt.from);
+  const Scope scope(*catalog_, stmt.from, &out);
   ISUM_RETURN_IF_ERROR(scope.Validate(stmt.from));
-  out.tables = scope.tables();
-  out.alias_map = scope.names();
   for (BoundTableRef& ref : out.tables) {
-    auto it = semantics.find(ToLower(ref.effective_name));
+    auto it = semantics.find(std::string_view(ref.effective_name));
     if (it != semantics.end()) ref.semantics = it->second;
   }
 
   // --- WHERE clause: classify conjuncts. ---
-  std::vector<const Expression*> conjuncts;
-  if (stmt.where != nullptr) FlattenConjuncts(*stmt.where, &conjuncts);
-
   for (const Expression* conjunct : conjuncts) {
     // 1. Equi-join between two tables?
     if (conjunct->kind() == ExpressionKind::kBinary) {
@@ -705,11 +711,9 @@ StatusOr<BoundQuery> Binder::Bind(const SelectStatement& original,
   }
 
   // --- Select list: outputs, aggregates, aliases. ---
-  std::unordered_map<std::string, const Expression*> select_aliases;
+  CaseInsensitiveMap<const Expression*> select_aliases;
   for (const SelectItem& item : stmt.select_list) {
-    if (!item.alias.empty()) {
-      select_aliases[ToLower(item.alias)] = item.expr.get();
-    }
+    if (!item.alias.empty()) select_aliases[item.alias] = item.expr.get();
     if (item.expr->kind() == ExpressionKind::kStar) {
       out.select_star = true;
       continue;
@@ -761,7 +765,7 @@ StatusOr<BoundQuery> Binder::Bind(const SelectStatement& original,
     const ColumnRefExpression* col = AsColumnRef(*o.expr);
     if (col == nullptr) continue;
     if (col->table().empty()) {
-      auto it = select_aliases.find(ToLower(col->column()));
+      auto it = select_aliases.find(std::string_view(col->column()));
       if (it != select_aliases.end()) {
         const ColumnRefExpression* aliased = AsColumnRef(*it->second);
         if (aliased != nullptr) {

@@ -2,6 +2,7 @@
 #define ISUM_SQL_BINDER_H_
 
 #include <string>
+#include <string_view>
 
 #include "catalog/catalog.h"
 #include "common/status.h"
@@ -20,9 +21,10 @@ class Binder {
   Binder(const catalog::Catalog* catalog, const stats::StatsManager* stats)
       : catalog_(catalog), stats_(stats) {}
 
-  /// Binds `stmt`. `sql_text` is stored on the result for reporting.
+  /// Binds `stmt`. `sql_text` is ignored: the query's text is kept once, on
+  /// workload::QueryInfo. The parameter stays for existing callers.
   StatusOr<BoundQuery> Bind(const SelectStatement& stmt,
-                            std::string sql_text = "") const;
+                            std::string_view sql_text = {}) const;
 
  private:
   const catalog::Catalog* catalog_;

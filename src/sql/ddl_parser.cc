@@ -41,15 +41,16 @@ class DdlParser {
   Status Expect(std::string_view spelling) {
     if (Match(spelling)) return Status::OK();
     return Status::ParseError(StrFormat(
-        "expected '%s' at offset %zu, got '%s'", std::string(spelling).c_str(),
-        Peek().offset, Peek().text.c_str()));
+        "expected '%.*s' at offset %zu, got '%.*s'",
+        static_cast<int>(spelling.size()), spelling.data(), Peek().offset,
+        static_cast<int>(Peek().text.size()), Peek().text.data()));
   }
   StatusOr<std::string> ExpectIdentifier(const char* what) {
     if (!Peek().Is(TokenType::kIdentifier)) {
       return Status::ParseError(
           StrFormat("expected %s at offset %zu", what, Peek().offset));
     }
-    return Advance().text;
+    return std::string(Advance().text);
   }
 
   /// Parses "(number [, number])" and returns the first value; 0 if absent.

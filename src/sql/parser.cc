@@ -11,15 +11,14 @@ namespace {
 
 /// Reserved words that terminate an alias-free expression context; a bare
 /// identifier in alias position must not be one of these.
-bool IsReservedKeyword(const std::string& word) {
-  static constexpr const char* kReserved[] = {
+bool IsReservedKeyword(std::string_view word) {
+  static constexpr std::string_view kReserved[] = {
       "select", "from",  "where", "group",  "by",    "having", "order",
       "limit",  "and",   "or",    "not",    "in",    "between", "like",
       "is",     "null",  "as",    "join",   "inner", "left",    "right",
       "outer",  "on",    "asc",   "desc",   "distinct", "exists"};
-  const std::string lower = ToLower(word);
-  for (const char* k : kReserved) {
-    if (lower == k) return true;
+  for (std::string_view k : kReserved) {
+    if (EqualsIgnoreCase(word, k)) return true;
   }
   return false;
 }
@@ -46,9 +45,10 @@ class Parser {
   }
   Status ExpectSymbol(std::string_view spelling) {
     if (Match(spelling)) return Status::OK();
-    return Status::ParseError(StrFormat("expected '%s' at offset %zu, got '%s'",
-                                        std::string(spelling).c_str(),
-                                        Peek().offset, Peek().text.c_str()));
+    return Status::ParseError(StrFormat(
+        "expected '%.*s' at offset %zu, got '%.*s'",
+        static_cast<int>(spelling.size()), spelling.data(), Peek().offset,
+        static_cast<int>(Peek().text.size()), Peek().text.data()));
   }
   Status ExpectKeyword(std::string_view kw) { return ExpectSymbol(kw); }
 
@@ -94,8 +94,9 @@ StatusOr<SelectStatement> Parser::ParseStatement() {
   ISUM_ASSIGN_OR_RETURN(SelectStatement stmt, ParseSelectBody());
   Match(";");
   if (!Peek().Is(TokenType::kEnd)) {
-    return Status::ParseError(StrFormat("trailing input at offset %zu: '%s'",
-                                        Peek().offset, Peek().text.c_str()));
+    return Status::ParseError(StrFormat(
+        "trailing input at offset %zu: '%.*s'", Peek().offset,
+        static_cast<int>(Peek().text.size()), Peek().text.data()));
   }
   return stmt;
 }
@@ -121,10 +122,10 @@ StatusOr<SelectStatement> Parser::ParseSelectBody() {
           return Status::ParseError(
               StrFormat("expected alias after AS at offset %zu", Peek().offset));
         }
-        item.alias = Advance().text;
+        item.alias = std::string(Advance().text);
       } else if (Peek().Is(TokenType::kIdentifier) &&
                  !IsReservedKeyword(Peek().text)) {
-        item.alias = Advance().text;
+        item.alias = std::string(Advance().text);
       }
       stmt.select_list.push_back(std::move(item));
       if (!Match(",")) break;
@@ -225,16 +226,16 @@ StatusOr<TableRef> Parser::ParseTableRef() {
         StrFormat("expected table name at offset %zu", Peek().offset));
   }
   TableRef ref;
-  ref.table_name = Advance().text;
+  ref.table_name = std::string(Advance().text);
   if (Match("as")) {
     if (!Peek().Is(TokenType::kIdentifier)) {
       return Status::ParseError(
           StrFormat("expected alias after AS at offset %zu", Peek().offset));
     }
-    ref.alias = Advance().text;
+    ref.alias = std::string(Advance().text);
   } else if (Peek().Is(TokenType::kIdentifier) &&
              !IsReservedKeyword(Peek().text)) {
-    ref.alias = Advance().text;
+    ref.alias = std::string(Advance().text);
   }
   return ref;
 }
@@ -316,7 +317,7 @@ StatusOr<ExpressionPtr> Parser::ParsePredicate() {
       return Status::ParseError(
           StrFormat("expected pattern after LIKE at offset %zu", Peek().offset));
     }
-    std::string pattern = Advance().text;
+    std::string pattern = Advance().StringValue();
     return ExpressionPtr(std::make_unique<LikeExpression>(
         std::move(lhs), std::move(pattern), negated));
   }
@@ -332,7 +333,7 @@ StatusOr<ExpressionPtr> Parser::ParsePredicate() {
   }
 
   // Comparison?
-  static constexpr std::pair<const char*, BinaryOp> kComparisons[] = {
+  static constexpr std::pair<std::string_view, BinaryOp> kComparisons[] = {
       {"<=", BinaryOp::kLe}, {">=", BinaryOp::kGe}, {"<>", BinaryOp::kNotEq},
       {"=", BinaryOp::kEq},  {"<", BinaryOp::kLt},  {">", BinaryOp::kGt},
   };
@@ -404,7 +405,7 @@ StatusOr<ExpressionPtr> Parser::ParsePrimary() {
   }
   if (tok.Is(TokenType::kString)) {
     Advance();
-    return ExpressionPtr(LiteralExpression::String(tok.text));
+    return ExpressionPtr(LiteralExpression::String(tok.StringValue()));
   }
   if (tok.Is("null")) {
     Advance();
@@ -439,22 +440,23 @@ StatusOr<ExpressionPtr> Parser::ParsePrimary() {
           std::move(name), std::move(args), distinct));
     }
     // Column reference, possibly qualified.
-    std::string first = Advance().text;
+    std::string first(Advance().text);
     if (Match(".")) {
       if (!Peek().Is(TokenType::kIdentifier)) {
         return Status::ParseError(StrFormat(
             "expected column after '%s.' at offset %zu", first.c_str(),
             Peek().offset));
       }
-      std::string column = Advance().text;
+      std::string column(Advance().text);
       return ExpressionPtr(std::make_unique<ColumnRefExpression>(
           std::move(first), std::move(column)));
     }
     return ExpressionPtr(
         std::make_unique<ColumnRefExpression>("", std::move(first)));
   }
-  return Status::ParseError(StrFormat("unexpected token '%s' at offset %zu",
-                                      tok.text.c_str(), tok.offset));
+  return Status::ParseError(StrFormat("unexpected token '%.*s' at offset %zu",
+                                      static_cast<int>(tok.text.size()),
+                                      tok.text.data(), tok.offset));
 }
 
 }  // namespace

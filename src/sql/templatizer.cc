@@ -1,105 +1,17 @@
 #include "sql/templatizer.h"
 
-#include "common/hash.h"
 #include "sql/printer.h"
 
 namespace isum::sql {
 
-namespace {
-
-SelectStatement MaskStatement(const SelectStatement& stmt);
-
-/// Deep-copies `expr` with every literal (and LIKE pattern) masked to '?'.
-ExpressionPtr MaskLiterals(const Expression& expr) {
-  switch (expr.kind()) {
-    case ExpressionKind::kLiteral:
-      return LiteralExpression::String("?");
-    case ExpressionKind::kColumnRef:
-    case ExpressionKind::kStar:
-      return expr.Clone();
-    case ExpressionKind::kBinary: {
-      const auto& e = static_cast<const BinaryExpression&>(expr);
-      return std::make_unique<BinaryExpression>(e.op(), MaskLiterals(e.lhs()),
-                                                MaskLiterals(e.rhs()));
-    }
-    case ExpressionKind::kUnaryNot: {
-      const auto& e = static_cast<const UnaryNotExpression&>(expr);
-      return std::make_unique<UnaryNotExpression>(MaskLiterals(e.child()));
-    }
-    case ExpressionKind::kIn: {
-      const auto& e = static_cast<const InExpression&>(expr);
-      std::vector<ExpressionPtr> values;
-      values.reserve(e.values().size());
-      for (const auto& v : e.values()) values.push_back(MaskLiterals(*v));
-      return std::make_unique<InExpression>(MaskLiterals(e.operand()),
-                                            std::move(values), e.negated());
-    }
-    case ExpressionKind::kBetween: {
-      const auto& e = static_cast<const BetweenExpression&>(expr);
-      return std::make_unique<BetweenExpression>(
-          MaskLiterals(e.operand()), MaskLiterals(e.lo()), MaskLiterals(e.hi()),
-          e.negated());
-    }
-    case ExpressionKind::kLike: {
-      const auto& e = static_cast<const LikeExpression&>(expr);
-      return std::make_unique<LikeExpression>(MaskLiterals(e.operand()), "?",
-                                              e.negated());
-    }
-    case ExpressionKind::kIsNull: {
-      const auto& e = static_cast<const IsNullExpression&>(expr);
-      return std::make_unique<IsNullExpression>(MaskLiterals(e.operand()),
-                                                e.negated());
-    }
-    case ExpressionKind::kFunctionCall: {
-      const auto& e = static_cast<const FunctionCallExpression&>(expr);
-      std::vector<ExpressionPtr> args;
-      args.reserve(e.args().size());
-      for (const auto& a : e.args()) args.push_back(MaskLiterals(*a));
-      return std::make_unique<FunctionCallExpression>(e.name(), std::move(args),
-                                                      e.distinct());
-    }
-    case ExpressionKind::kExists: {
-      const auto& e = static_cast<const ExistsExpression&>(expr);
-      return std::make_unique<ExistsExpression>(
-          std::make_unique<SelectStatement>(MaskStatement(e.subquery())),
-          e.negated());
-    }
-    case ExpressionKind::kInSubquery: {
-      const auto& e = static_cast<const InSubqueryExpression&>(expr);
-      return std::make_unique<InSubqueryExpression>(
-          MaskLiterals(e.operand()),
-          std::make_unique<SelectStatement>(MaskStatement(e.subquery())),
-          e.negated());
-    }
-  }
-  return expr.Clone();
-}
-
-SelectStatement MaskStatement(const SelectStatement& stmt) {
-  SelectStatement masked;
-  masked.distinct = stmt.distinct;
-  for (const auto& item : stmt.select_list) {
-    masked.select_list.push_back(SelectItem{MaskLiterals(*item.expr), item.alias});
-  }
-  masked.from = stmt.from;
-  masked.where = stmt.where ? MaskLiterals(*stmt.where) : nullptr;
-  for (const auto& g : stmt.group_by) masked.group_by.push_back(MaskLiterals(*g));
-  masked.having = stmt.having ? MaskLiterals(*stmt.having) : nullptr;
-  for (const auto& o : stmt.order_by) {
-    masked.order_by.push_back(OrderByItem{MaskLiterals(*o.expr), o.descending});
-  }
-  masked.limit = stmt.limit.has_value() ? std::optional<int64_t>(0) : std::nullopt;
-  return masked;
-}
-
-}  // namespace
-
 std::string TemplateText(const SelectStatement& stmt) {
-  return StatementToSql(MaskStatement(stmt));
+  std::string text;
+  AppendStatementSql(stmt, LiteralMode::kMasked, &text);
+  return text;
 }
 
 uint64_t TemplateHash(const SelectStatement& stmt) {
-  return HashBytes(TemplateText(stmt));
+  return HashStatementSql(stmt, LiteralMode::kMasked);
 }
 
 }  // namespace isum::sql

@@ -9,13 +9,14 @@
 namespace isum::sql {
 
 /// Canonical template text of a statement: the SQL rendering with every
-/// literal replaced by '?'. Two query instances of the same template (same
-/// skeleton, different parameter bindings — the grouping used by [11] and by
-/// the paper's Stratified baseline and template-based weighing, §7) map to
-/// identical template text.
+/// literal and LIKE pattern printed as '?' and LIMIT as 0. Two query
+/// instances of the same template (same skeleton, different parameter
+/// bindings — the grouping used by [11] and by the paper's Stratified
+/// baseline and template-based weighing, §7) map to identical template text.
 std::string TemplateText(const SelectStatement& stmt);
 
-/// Stable 64-bit hash of TemplateText (FNV-1a).
+/// Stable 64-bit hash of TemplateText: HashBytes (FNV-1a) of the text,
+/// computed while printing it.
 uint64_t TemplateHash(const SelectStatement& stmt);
 
 }  // namespace isum::sql

@@ -41,7 +41,7 @@ class ExprEvalTest : public ::testing::Test {
   }
 
   catalog::Catalog cat_;
-  std::unordered_map<std::string, catalog::TableId> aliases_;
+  CaseInsensitiveMap<catalog::TableId> aliases_;
   std::unordered_map<catalog::ColumnId, double> values_;
 };
 

@@ -40,7 +40,7 @@ TEST(Lexer, StringsWithEscapedQuotes) {
   auto tokens = MustTokenize("'hello' 'it''s'");
   EXPECT_TRUE(tokens[0].Is(TokenType::kString));
   EXPECT_EQ(tokens[0].text, "hello");
-  EXPECT_EQ(tokens[1].text, "it's");
+  EXPECT_EQ(tokens[1].StringValue(), "it's");
 }
 
 TEST(Lexer, UnterminatedStringIsError) {
